@@ -38,6 +38,11 @@
 # paths within threshold of BENCH_pr5.json (75% smoke threshold unless
 # PX_BENCH_THRESHOLD overrides it — same noise rationale as --bench).
 #
+# --pxbench: run the benchmark's Python unit tests (pxbench/
+# test_*.py: metric arithmetic, BENCHMARK.json vs spec.json agreement)
+# with the stock unittest runner; no build needed, and no bytecode is
+# written into the source tree.
+#
 # --bench: smoke-run the px::bench regression suite (scripts/bench.sh
 # --smoke) against the committed baseline BENCH_seed.json when present.
 # Smoke timings on a shared CI host are noisy, so the lane only fails on
@@ -106,6 +111,12 @@ if [ "${1:-}" = "--serve" ]; then
     --out "$repo/build/BENCH_serve_smoke.json" \
     --compare "$repo/BENCH_pr5.json" \
     --threshold "${PX_BENCH_THRESHOLD:-75}"
+  exit 0
+fi
+
+if [ "${1:-}" = "--pxbench" ]; then
+  (cd "$repo" && PYTHONDONTWRITEBYTECODE=1 \
+   python3 -m unittest discover -s pxbench -p 'test_*.py')
   exit 0
 fi
 

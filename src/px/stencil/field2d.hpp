@@ -13,17 +13,69 @@
 //
 // With halos in place, the 5-point update is branch-free for both cell
 // types:  next(s,y) = (c(s-1,y)+c(s+1,y)+c(s,y-1)+c(s,y+1)) * 0.25.
+//
+// Whole-field passes (the zero-fill on construction and the layout
+// conversions built on assign_row/read_row) go row by row under an
+// execution policy; the policy-less forms run them row-parallel on a px
+// worker, so workers do the first touch, and sequentially elsewhere.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "px/parallel/algorithms.hpp"
 #include "px/simd/simd.hpp"
 #include "px/support/aligned.hpp"
 #include "px/support/assert.hpp"
 #include "px/support/math.hpp"
 
 namespace px::stencil {
+
+namespace detail {
+
+// Storage bytes a row task must cover: fields under two of these run their
+// row passes inline on the calling task.
+inline constexpr std::size_t row_task_grain_bytes = std::size_t{256} << 10;
+
+// Policy of the policy-less overloads: par on a px worker, seq elsewhere
+// (the ambient resolution of parallel_policy::select_scheduler).
+struct ambient_policy {};
+
+// f(y) for every y in [0, rows), each row `row_bytes` of storage.
+template <typename F>
+void for_rows(execution::sequenced_policy, std::size_t rows, std::size_t,
+              F f) {
+  for (std::size_t y = 0; y < rows; ++y) f(y);
+}
+
+// The policy's own decomposition, capped at one task per
+// row_task_grain_bytes.
+template <typename F>
+void for_rows(execution::parallel_policy const& policy, std::size_t rows,
+              std::size_t row_bytes, F f) {
+  parallel::detail::bulk_plan const plan =
+      parallel::detail::plan_bulk(policy, rows);
+  parallel::detail::bulk_run(
+      policy, *plan.sched, rows,
+      std::min(plan.num_chunks, rows * row_bytes / row_task_grain_bytes),
+      [&f](std::size_t lo, std::size_t hi, std::size_t) {
+        for (std::size_t y = lo; y < hi; ++y) f(y);
+      });
+}
+
+template <typename F>
+void for_rows(ambient_policy, std::size_t rows, std::size_t row_bytes, F f) {
+  if (rt::worker::current() != nullptr)
+    for_rows(execution::par, rows, row_bytes, std::move(f));
+  else
+    for_rows(execution::seq, rows, row_bytes, std::move(f));
+}
+
+}  // namespace detail
 
 template <typename Cell>
 class field2d {
@@ -40,18 +92,27 @@ class field2d {
   // the row's right Dirichlet ghost, so every *real* cell computes exactly
   // the value of the unpadded problem; the remaining padding lanes evolve
   // as bounded junk that no real cell ever reads.
-  field2d(std::size_t nx, std::size_t ny)
+  //
+  // Every storage cell (halos and padding lanes included) starts at zero,
+  // written row by row under `policy`: the first touch of the storage.
+  template <typename Policy>
+  field2d(Policy const& policy, std::size_t nx, std::size_t ny)
       : nx_(nx),
         ny_(ny),
         cells_(simd::vns::packs_for(nx, lanes)),
-        stride_(cells_ + 2) {
+        stride_(cells_ + 2),
+        storage_(stride_ * (ny_ + 2)),  // default-initialized: untouched
+        ghost_left_(vectorized ? ny_ + 2 : 0, scalar(0)),
+        ghost_right_(vectorized ? ny_ + 2 : 0, scalar(0)) {
+    static_assert(std::is_trivially_default_constructible_v<Cell>);
     PX_ASSERT(nx >= 1 && ny >= 1);
-    storage_.assign(stride_ * (ny_ + 2), Cell(scalar(0)));
-    if constexpr (vectorized) {
-      ghost_left_.assign(ny_ + 2, scalar(0));
-      ghost_right_.assign(ny_ + 2, scalar(0));
-    }
+    detail::for_rows(policy, ny_ + 2, stride_ * sizeof(Cell),
+                     [this](std::size_t y) {
+                       std::fill_n(row(y), stride_, Cell(scalar(0)));
+                     });
   }
+  field2d(std::size_t nx, std::size_t ny)
+      : field2d(detail::ambient_policy{}, nx, ny) {}
 
   [[nodiscard]] std::size_t nx() const noexcept { return nx_; }
   [[nodiscard]] std::size_t ny() const noexcept { return ny_; }
@@ -89,22 +150,37 @@ class field2d {
   // lane l of cell j holds scalar x = l * cells() + j, i.e. lane = x /
   // cells(), slot = x % cells().
   [[nodiscard]] scalar get(std::size_t x, std::size_t y) const noexcept {
-    PX_ASSERT_DEBUG(x < nx_ && y < ny_);
-    if constexpr (vectorized) {
-      return cell(1 + simd::vns::slot_of(x, cells_), y + 1)
-          .v[simd::vns::lane_of(x, cells_)];
-    } else {
-      return cell(1 + x, y + 1);
-    }
+    PX_ASSERT_DEBUG(y < ny_);
+    return load(x, y + 1);
+  }
+  void set(std::size_t x, std::size_t y, scalar v) noexcept {
+    PX_ASSERT_DEBUG(y < ny_);
+    store(x, y + 1, v);
   }
 
-  void set(std::size_t x, std::size_t y, scalar v) noexcept {
-    PX_ASSERT_DEBUG(x < nx_ && y < ny_);
+  // ---- row view (storage coordinates) ------------------------------------
+  // Sets storage row y from nx + 2 scalars laid out as a scalar field's row
+  // [left ghost | nx interior | right ghost] and refreshes its halos; for
+  // pack fields the interior is one VNS encode with zero padding lanes.
+  void assign_row(std::size_t y, scalar const* src) noexcept {
     if constexpr (vectorized) {
-      cell(1 + simd::vns::slot_of(x, cells_), y + 1)
-          .v[simd::vns::lane_of(x, cells_)] = v;
+      ghost_left_[y] = src[0];
+      simd::vns::encode_padded(std::span<scalar const>(src + 1, nx_),
+                               row(y) + 1, cells_);
+      ghost_right_[y] = src[nx_ + 1];
+      refresh_row_halos(y);
     } else {
-      cell(1 + x, y + 1) = v;
+      std::copy_n(src, stride_, row(y));
+    }
+  }
+  // Writes storage row y's nx interior scalars to `out` (one VNS decode for
+  // pack fields).
+  void read_row(std::size_t y, scalar* out) const noexcept {
+    if constexpr (vectorized) {
+      simd::vns::decode_padded(row(y) + 1, std::span<scalar>(out, nx_),
+                               cells_);
+    } else {
+      std::copy_n(row(y) + 1, nx_, out);
     }
   }
 
@@ -127,11 +203,9 @@ class field2d {
     }
   }
   // Top/bottom boundary rows: scalar x-indexed writes into the ghost rows.
-  void set_top_boundary(std::size_t x, scalar v) noexcept {
-    write_ghost_row(0, x, v);
-  }
+  void set_top_boundary(std::size_t x, scalar v) noexcept { store(x, 0, v); }
   void set_bottom_boundary(std::size_t x, scalar v) noexcept {
-    write_ghost_row(ny_ + 1, x, v);
+    store(x, ny_ + 1, v);
   }
 
   [[nodiscard]] scalar left_boundary(std::size_t y) const noexcept {
@@ -149,10 +223,10 @@ class field2d {
     }
   }
   [[nodiscard]] scalar top_boundary_value(std::size_t x) const noexcept {
-    return read_ghost_row(0, x);
+    return load(x, 0);
   }
   [[nodiscard]] scalar bottom_boundary_value(std::size_t x) const noexcept {
-    return read_ghost_row(ny_ + 1, x);
+    return load(x, ny_ + 1);
   }
 
   // Recomputes the halo packs of storage row y from the row's edge packs
@@ -187,8 +261,8 @@ class field2d {
   }
 
  private:
-  void write_ghost_row(std::size_t storage_y, std::size_t x,
-                       scalar v) noexcept {
+  // Scalar x of storage row storage_y, through the VNS mapping for packs.
+  void store(std::size_t x, std::size_t storage_y, scalar v) noexcept {
     PX_ASSERT_DEBUG(x < nx_);
     if constexpr (vectorized) {
       cell(1 + simd::vns::slot_of(x, cells_), storage_y)
@@ -197,9 +271,8 @@ class field2d {
       cell(1 + x, storage_y) = v;
     }
   }
-
-  [[nodiscard]] scalar read_ghost_row(std::size_t storage_y,
-                                      std::size_t x) const noexcept {
+  [[nodiscard]] scalar load(std::size_t x,
+                            std::size_t storage_y) const noexcept {
     PX_ASSERT_DEBUG(x < nx_);
     if constexpr (vectorized) {
       return cell(1 + simd::vns::slot_of(x, cells_), storage_y)
@@ -210,7 +283,8 @@ class field2d {
   }
 
   std::size_t nx_, ny_, cells_, stride_;
-  std::vector<Cell, aligned_allocator<Cell, 64>> storage_;
+  std::vector<Cell, default_init_allocator<aligned_allocator<Cell, 64>>>
+      storage_;
   // Pack fields only: Dirichlet scalars for the row seams (indexed by
   // storage row).
   std::vector<scalar> ghost_left_, ghost_right_;

@@ -88,26 +88,39 @@ void init_dirichlet_problem(field2d<Cell>& f) {
   f.refresh_all_halos();
 }
 
-// Copies one field's interior + boundaries into a field of another cell
-// type (e.g. scalar -> pack) so both start from identical state.
-template <typename CellDst, typename CellSrc>
-void copy_problem(field2d<CellDst>& dst, field2d<CellSrc> const& src) {
+// Copies a scalar field's interior and boundaries into a field of the same
+// scalar type (e.g. scalar -> pack) so both start from identical state: one
+// assign_row per storage row (a VNS encode for pack fields), the rows spread
+// over `policy`.
+template <typename Policy, typename Cell>
+void copy_problem(Policy const& policy, field2d<Cell>& dst,
+                  field2d<simd::get_type_t<Cell>> const& src) {
   PX_ASSERT(dst.nx() == src.nx() && dst.ny() == src.ny());
-  using scalar = typename field2d<CellDst>::scalar;
-  for (std::size_t y = 0; y < src.ny(); ++y)
-    for (std::size_t x = 0; x < src.nx(); ++x)
-      dst.set(x, y, static_cast<scalar>(src.get(x, y)));
-  for (std::size_t y = 0; y < src.ny(); ++y) {
-    dst.set_left_boundary(y, static_cast<scalar>(src.left_boundary(y)));
-    dst.set_right_boundary(y, static_cast<scalar>(src.right_boundary(y)));
+  detail::for_rows(policy, dst.ny() + 2, dst.row_stride() * sizeof(Cell),
+                   [&](std::size_t y) { dst.assign_row(y, src.row(y)); });
+}
+
+template <typename Cell>
+void copy_problem(field2d<Cell>& dst,
+                  field2d<simd::get_type_t<Cell>> const& src) {
+  copy_problem(detail::ambient_policy{}, dst, src);
+}
+
+// Copies only src's Dirichlet boundaries: both ghost rows (with their
+// halos) and every row's column ghosts. The interior rows' cells and halos
+// keep their values — for the second buffer of a ping-pong pair, whose
+// first sweep writes every interior cell (padding lanes included) and
+// refreshes those halos before anything reads them.
+template <typename Cell>
+void copy_boundaries(field2d<Cell>& dst,
+                     field2d<simd::get_type_t<Cell>> const& src) {
+  PX_ASSERT(dst.nx() == src.nx() && dst.ny() == src.ny());
+  dst.assign_row(0, src.row(0));
+  dst.assign_row(dst.ny() + 1, src.row(dst.ny() + 1));
+  for (std::size_t y = 0; y < dst.ny(); ++y) {
+    dst.set_left_boundary(y, src.left_boundary(y));
+    dst.set_right_boundary(y, src.right_boundary(y));
   }
-  // Row ghosts: re-derive through the scalar views of the ghost rows.
-  for (std::size_t x = 0; x < src.nx(); ++x) {
-    dst.set_top_boundary(x, static_cast<scalar>(src.top_boundary_value(x)));
-    dst.set_bottom_boundary(
-        x, static_cast<scalar>(src.bottom_boundary_value(x)));
-  }
-  dst.refresh_all_halos();
 }
 
 }  // namespace px::stencil

@@ -72,8 +72,7 @@ struct jblock_args {
 template <typename Cell>
 std::vector<double> extract_row(field2d<Cell> const& f, std::size_t y) {
   std::vector<double> row(f.nx());
-  for (std::size_t x = 0; x < f.nx(); ++x)
-    row[x] = static_cast<double>(f.get(x, y));
+  f.read_row(y + 1, row.data());
   return row;
 }
 
@@ -151,8 +150,7 @@ std::vector<double> jacobi_solve_block_impl(px::dist::locality& here,
   field2d<Cell> const& fin = u[args.steps % 2];
   std::vector<double> out(local_ny * nx);
   for (std::size_t y = 0; y < local_ny; ++y)
-    for (std::size_t x = 0; x < nx; ++x)
-      out[y * nx + x] = static_cast<double>(fin.get(x, y));
+    fin.read_row(y + 1, out.data() + y * nx);
   return out;
 }
 

@@ -65,15 +65,44 @@ struct vns_run_result {
   std::vector<T> interior;
 };
 
-template <typename Field>
-[[nodiscard]] std::vector<typename Field::scalar> interior_snapshot(
-    Field const& f) {
-  std::vector<typename Field::scalar> out(f.nx() * f.ny());
-  for (std::size_t y = 0; y < f.ny(); ++y)
-    for (std::size_t x = 0; x < f.nx(); ++x)
-      out[y * f.nx() + x] = f.get(x, y);
+// The interior decoded row by row (one read_row each) into a row-major
+// nx*ny vector, the rows spread over `policy`.
+template <typename Policy, typename Cell>
+[[nodiscard]] std::vector<simd::get_type_t<Cell>> interior_snapshot(
+    Policy const& policy, field2d<Cell> const& f) {
+  std::vector<simd::get_type_t<Cell>> out(f.nx() * f.ny());
+  detail::for_rows(policy, f.ny(), f.row_stride() * sizeof(Cell),
+                   [&](std::size_t y) {
+                     f.read_row(y + 1, out.data() + y * f.nx());
+                   });
   return out;
 }
+
+template <typename Cell>
+[[nodiscard]] std::vector<simd::get_type_t<Cell>> interior_snapshot(
+    field2d<Cell> const& f) {
+  return interior_snapshot(detail::ambient_policy{}, f);
+}
+
+namespace detail {
+
+// Both runners: u0 gets the whole problem, u1 only its boundaries (the
+// first sweep writes the rest); allocation, conversion and sweeps all run
+// under `policy`.
+template <typename Cell, typename Policy, typename T>
+vns_run_result<T> run_from(Policy const& policy, field2d<T> const& initial,
+                           std::size_t steps) {
+  field2d<Cell> u0(policy, initial.nx(), initial.ny());
+  field2d<Cell> u1(policy, initial.nx(), initial.ny());
+  copy_problem(policy, u0, initial);
+  copy_boundaries(u1, initial);
+  vns_run_result<T> r;
+  r.timing = run_jacobi2d(policy, u0, u1, steps);
+  r.interior = interior_snapshot(policy, r.timing.final_index == 0 ? u0 : u1);
+  return r;
+}
+
+}  // namespace detail
 
 // Runs `steps` pack-cell Jacobi sweeps starting from the scalar field's
 // state (interior + boundaries), with the pack width chosen by `abi`.
@@ -83,15 +112,8 @@ vns_run_result<T> run_jacobi2d_vns(Policy const& policy, vns_abi abi,
                                    field2d<T> const& initial,
                                    std::size_t steps) {
   return with_vns_pack<T>(abi, [&](auto tag) {
-    using P = typename decltype(tag)::type;
-    field2d<P> u0(initial.nx(), initial.ny());
-    field2d<P> u1(initial.nx(), initial.ny());
-    copy_problem(u0, initial);
-    copy_problem(u1, initial);
-    vns_run_result<T> r;
-    r.timing = run_jacobi2d(policy, u0, u1, steps);
-    r.interior = interior_snapshot(r.timing.final_index == 0 ? u0 : u1);
-    return r;
+    return detail::run_from<typename decltype(tag)::type>(policy, initial,
+                                                          steps);
   });
 }
 
@@ -101,14 +123,7 @@ template <typename T, typename Policy>
 vns_run_result<T> run_jacobi2d_auto(Policy const& policy,
                                     field2d<T> const& initial,
                                     std::size_t steps) {
-  field2d<T> u0(initial.nx(), initial.ny());
-  field2d<T> u1(initial.nx(), initial.ny());
-  copy_problem(u0, initial);
-  copy_problem(u1, initial);
-  vns_run_result<T> r;
-  r.timing = run_jacobi2d(policy, u0, u1, steps);
-  r.interior = interior_snapshot(r.timing.final_index == 0 ? u0 : u1);
-  return r;
+  return detail::run_from<T>(policy, initial, steps);
 }
 
 // Non-template entry points (compiled in jacobi2d_vns.cpp) used by the

@@ -2,14 +2,18 @@
 // Aligned heap allocation and an allocator usable with std::vector.
 //
 // SIMD packs require their natural alignment; the stencil grids additionally
-// align rows to cache-line boundaries so per-row first-touch placement does
-// not straddle lines owned by two NUMA domains.
+// align their storage to cache-line boundaries and leave it untouched on
+// allocation (default_init_allocator), so the px workers that zero-fill it
+// row by row do the first touch and place its pages.
 #pragma once
 
 #include <cstddef>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <new>
+#include <type_traits>
+#include <utility>
 
 #include "px/support/assert.hpp"
 
@@ -61,6 +65,35 @@ class aligned_allocator {
   friend bool operator==(aligned_allocator const&,
                          aligned_allocator const&) noexcept {
     return true;
+  }
+};
+
+// Wraps an allocator so that value-less construction default-initializes:
+// std::vector<T, default_init_allocator<A>>(n) leaves trivially
+// default-constructible elements untouched instead of zeroing them on the
+// allocating thread.
+template <typename A>
+class default_init_allocator : public A {
+  using traits = std::allocator_traits<A>;
+
+ public:
+  template <typename U>
+  struct rebind {
+    using other =
+        default_init_allocator<typename traits::template rebind_alloc<U>>;
+  };
+
+  using A::A;
+
+  template <typename U>
+  void construct(U* p) noexcept(
+      std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    traits::construct(static_cast<A&>(*this), p,
+                      std::forward<Args>(args)...);
   }
 };
 

@@ -1,6 +1,12 @@
 #include "px/torture/forall.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
+#include <exception>
 
 #include "px/counters/counters.hpp"
 #include "px/support/env.hpp"
@@ -39,6 +45,99 @@ std::optional<std::string> monotonicity_violation(
   return std::nullopt;
 }
 
+// ---- crash reporting -------------------------------------------------------
+// A property that aborts, faults or terminates never returns to the sweep,
+// so while it runs these hooks report its seed first: write(2) of the seed
+// and the run's decision index (async-signal-safe), then a best-effort
+// <stem>-<seed>.json dump, then the previous handler takes over.
+
+std::atomic<std::uint64_t> g_crash_seed{0};
+std::atomic<bool> g_crash_reported{false};
+std::string g_crash_stem = "torture";  // forall_options::dump_stem
+struct sigaction g_prev_abrt, g_prev_segv;
+std::terminate_handler g_prev_terminate = nullptr;
+
+char* append(char* p, char const* s) noexcept {
+  while (*s != '\0') *p++ = *s++;
+  return p;
+}
+
+char* append(char* p, std::uint64_t v) noexcept {
+  char digits[20];
+  int n = 0;
+  do {
+    digits[n++] = static_cast<char>('0' + v % 10);
+    v /= 10;
+  } while (v != 0);
+  while (n > 0) *p++ = digits[--n];
+  return p;
+}
+
+void report_crash(char const* what) noexcept {
+  if (g_crash_reported.exchange(true)) return;
+  std::uint64_t const seed = g_crash_seed.load();
+  char line[256];
+  char* p = append(line, "px::torture: ");
+  p = append(p, what);
+  p = append(p, " in property, seed=");
+  p = append(p, seed);
+  p = append(p, " decision=");
+  p = append(p, run_decisions());
+  p = append(p, "\n  replay: px::torture::run_one(");
+  p = append(p, seed);
+  p = append(p, "ull, property)\n");
+  (void)!::write(STDERR_FILENO, line, static_cast<std::size_t>(p - line));
+  if (g_crash_stem.empty()) return;
+  // The dump allocates and does I/O, which a crash with the heap lock held
+  // can hang; the alarm turns such a hang into a SIGALRM exit.
+  ::alarm(5);
+  try {
+    std::string const path =
+        g_crash_stem + "-" + std::to_string(seed) + ".json";
+    if (dump_failure_report(seed, std::string(what) + " in property",
+                            run_perturbations(), path))
+      std::fprintf(stderr, "px::torture: failure evidence -> %s\n",
+                   path.c_str());
+  } catch (...) {
+    // The seed line above is the report; a dump that cannot be written
+    // must not replace the crash being reported.
+  }
+  ::alarm(0);
+}
+
+extern "C" void on_crash_signal(int sig) {
+  report_crash(sig == SIGSEGV ? "SIGSEGV" : "SIGABRT");
+  ::sigaction(sig, sig == SIGSEGV ? &g_prev_segv : &g_prev_abrt, nullptr);
+  std::raise(sig);
+}
+
+void on_terminate() {
+  report_crash("std::terminate");
+  (g_prev_terminate != nullptr ? g_prev_terminate : std::abort)();
+}
+
+// RAII: the hooks are installed for one property run, then the previous
+// handlers come back.
+struct crash_hooks {
+  explicit crash_hooks(std::uint64_t seed) {
+    g_crash_seed.store(seed);
+    g_crash_reported.store(false);
+    struct sigaction sa {};
+    sa.sa_handler = on_crash_signal;
+    sigemptyset(&sa.sa_mask);
+    ::sigaction(SIGABRT, &sa, &g_prev_abrt);
+    ::sigaction(SIGSEGV, &sa, &g_prev_segv);
+    g_prev_terminate = std::set_terminate(on_terminate);
+  }
+  ~crash_hooks() {
+    std::set_terminate(g_prev_terminate);
+    ::sigaction(SIGSEGV, &g_prev_segv, nullptr);
+    ::sigaction(SIGABRT, &g_prev_abrt, nullptr);
+  }
+  crash_hooks(crash_hooks const&) = delete;
+  crash_hooks& operator=(crash_hooks const&) = delete;
+};
+
 }  // namespace
 
 std::size_t seed_count(std::size_t default_n) {
@@ -52,6 +151,7 @@ std::optional<std::string> run_one(std::uint64_t seed, property_fn const& fn,
   perturb.seed = seed;
   perturb.max_perturbations = max_perturbations;
   counters::builtin().torture_seeds_run.add();
+  crash_hooks hooks(seed);
   enabled_run guard(perturb);
   try {
     fn(seed);
@@ -67,6 +167,10 @@ std::optional<std::string> run_one(std::uint64_t seed, property_fn const& fn,
 forall_result forall_seeds(std::size_t n, property_fn const& fn,
                            forall_options opts) {
   forall_result result;
+  g_crash_stem = opts.dump_stem;
+  struct restore_stem {
+    ~restore_stem() { g_crash_stem = "torture"; }
+  } stem_guard;
   auto before = counters::registry::instance().take_snapshot();
   for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t const seed = splitmix64(opts.base_seed + i);

@@ -20,6 +20,12 @@
 //   4. prints a one-line replay recipe with the seed.
 // A failure whose minimal budget is 0 does not need the perturber at all:
 // it is seed-dependent (RNG-placement, fault sampling) or a plain bug.
+//
+// A property that crashes (SIGABRT, SIGSEGV, std::terminate) cannot be
+// shrunk, but it still names its seed: while a property runs, run_one
+// installs handlers that write "seed=<seed> decision=<index>" to stderr
+// with write(2), make a best-effort torture-<seed>.json dump, and then hand
+// the signal on to the previous handler.
 #pragma once
 
 #include <cstdint>

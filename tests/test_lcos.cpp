@@ -75,7 +75,7 @@ TEST_F(LcoTest, BarrierSynchronizesPhases) {
   std::atomic<int> max_seen{0};
   std::atomic<int> errors{0};
   for (int p = 0; p < parties; ++p)
-    rt.post([&] {
+    rt.post([&, p] {
       for (int r = 0; r < rounds; ++r) {
         int const now = in_phase.fetch_add(1) + 1;
         int expected = max_seen.load();
@@ -208,13 +208,16 @@ TEST_F(LcoTest, MutexTryLock) {
 
 TEST_F(LcoTest, MutexHolderCanSuspend) {
   px::mutex m;
+  px::event holding;  // the contender starts only once the lock is held
   std::atomic<bool> slow_done{false};
   rt.post([&] {
     std::lock_guard<px::mutex> guard(m);
+    holding.set();
     px::this_task::sleep_for(std::chrono::milliseconds(20));
     slow_done.store(true);
   });
   rt.post([&] {
+    holding.wait();
     std::lock_guard<px::mutex> guard(m);
     EXPECT_TRUE(slow_done.load());  // only acquired after the sleeper left
   });

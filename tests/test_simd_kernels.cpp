@@ -2,13 +2,16 @@
 // encode/decode round-trips at arbitrary (odd) row lengths, the seam
 // rotations against a scalar neighbour gather on random rows, the
 // ABI-preset 2D Jacobi runners against the serial reference and the
-// auto-vectorized solver, the VNS 1D heat kernel, unaligned pack ops at
-// odd offsets, and the cache-blocked 3D Jacobi (reference agreement,
-// block-shape invariance, env knobs, and a seed sweep in the torture
-// lane).
+// auto-vectorized solver, the row-parallel layout conversion (field
+// zero-fill, copy_problem / interior_snapshot against the per-element path,
+// boundaries-only second buffer, no tasks under seq), the VNS 1D heat
+// kernel, unaligned pack ops at odd offsets, and the cache-blocked 3D
+// Jacobi (reference agreement, block-shape invariance, env knobs, and a
+// seed sweep in the torture lane).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <random>
 #include <span>
 #include <stdexcept>
@@ -25,6 +28,8 @@ namespace {
 
 using px::simd::pack;
 using namespace px::stencil;
+
+using simd_native_f32 = px::simd::abi::native<float>;
 
 px::scheduler_config cfg3() {
   px::scheduler_config c;
@@ -278,6 +283,218 @@ TEST(Jacobi2dVns, AbiParsingAndLanes) {
   EXPECT_EQ(vns_abi_lanes<float>(vns_abi::sve512), 16u);
   EXPECT_EQ(vns_abi_lanes<double>(vns_abi::avx2), 4u);
   EXPECT_EQ(std::string(vns_abi_name(vns_abi::sve512)), "sve512");
+}
+
+// ---- row-parallel layout conversion --------------------------------------
+
+std::uint64_t tasks_executed(px::runtime& rt) {
+  return rt.sched().aggregate_stats().tasks_executed;
+}
+
+// A scalar problem with random interior and boundaries.
+template <typename T>
+field2d<T> random_problem(std::size_t nx, std::size_t ny,
+                          std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<T> dist(T(-2), T(2));
+  field2d<T> f(px::execution::seq, nx, ny);
+  for (std::size_t y = 0; y < ny; ++y) {
+    for (std::size_t x = 0; x < nx; ++x) f.set(x, y, dist(rng));
+    f.set_left_boundary(y, dist(rng));
+    f.set_right_boundary(y, dist(rng));
+  }
+  for (std::size_t x = 0; x < nx; ++x) {
+    f.set_top_boundary(x, dist(rng));
+    f.set_bottom_boundary(x, dist(rng));
+  }
+  return f;
+}
+
+// The per-element conversion: get/set for the interior, the boundary
+// setters for the ghosts, then every row's halos.
+template <typename Cell, typename T>
+void copy_per_element(field2d<Cell>& dst, field2d<T> const& src) {
+  for (std::size_t y = 0; y < src.ny(); ++y) {
+    for (std::size_t x = 0; x < src.nx(); ++x) dst.set(x, y, src.get(x, y));
+    dst.set_left_boundary(y, src.left_boundary(y));
+    dst.set_right_boundary(y, src.right_boundary(y));
+  }
+  for (std::size_t x = 0; x < src.nx(); ++x) {
+    dst.set_top_boundary(x, src.top_boundary_value(x));
+    dst.set_bottom_boundary(x, src.bottom_boundary_value(x));
+  }
+  dst.refresh_all_halos();
+}
+
+template <typename Cell>
+bool same_storage(field2d<Cell> const& a, field2d<Cell> const& b) {
+  return std::memcmp(a.row(0), b.row(0),
+                     a.row_stride() * (a.ny() + 2) * sizeof(Cell)) == 0;
+}
+
+template <typename T>
+void round_trip_case(px::runtime& rt, vns_abi abi, std::size_t nx,
+                     std::size_t ny) {
+  auto const src = random_problem<T>(nx, ny, 31 * nx + ny);
+  with_vns_pack<T>(abi, [&](auto tag) {
+    using P = typename decltype(tag)::type;
+    field2d<P> want(px::execution::seq, nx, ny);
+    copy_per_element(want, src);
+    std::vector<T> want_out(nx * ny);
+    for (std::size_t y = 0; y < ny; ++y)
+      for (std::size_t x = 0; x < nx; ++x)
+        want_out[y * nx + x] = want.get(x, y);
+
+    px::sync_wait(rt, [&] {
+      field2d<P> got(nx, ny);
+      copy_problem(got, src);
+      EXPECT_TRUE(same_storage(got, want))
+          << vns_abi_name(abi) << " nx=" << nx << " ny=" << ny;
+      for (std::size_t y = 0; y < ny; ++y) {
+        ASSERT_EQ(got.left_boundary(y), want.left_boundary(y));
+        ASSERT_EQ(got.right_boundary(y), want.right_boundary(y));
+      }
+      auto const out = interior_snapshot(got);
+      ASSERT_EQ(out.size(), want_out.size());
+      EXPECT_EQ(std::memcmp(out.data(), want_out.data(),
+                            out.size() * sizeof(T)),
+                0)
+          << vns_abi_name(abi) << " nx=" << nx << " ny=" << ny;
+    });
+  });
+}
+
+template <typename T>
+void round_trip_all_presets(px::runtime& rt) {
+  for (vns_abi abi : vns_abi_presets) {
+    std::size_t const lanes = vns_abi_lanes<T>(abi);
+    for (std::size_t nx : {std::size_t{1}, lanes - 1, lanes + 1,
+                           3 * lanes + 1, std::size_t{37}})
+      for (std::size_t ny : {std::size_t{1}, std::size_t{6}})
+        round_trip_case<T>(rt, abi, nx, ny);
+    // Large enough that every pass fans out over several row tasks.
+    round_trip_case<T>(rt, abi, 37, 6000);
+  }
+}
+
+TEST(VnsConversion, ParallelRoundTripMatchesPerElementPathFloat) {
+  px::runtime rt(cfg3());
+  round_trip_all_presets<float>(rt);
+}
+
+TEST(VnsConversion, ParallelRoundTripMatchesPerElementPathDouble) {
+  px::runtime rt(cfg3());
+  round_trip_all_presets<double>(rt);
+}
+
+TEST(VnsConversion, LargeFieldPassesFanOutOnAWorker) {
+  // The round trips above only test the parallel path if it runs: a field
+  // well above the row-task grain spawns row tasks for each pass.
+  px::runtime rt(cfg3());
+  auto const src = random_problem<float>(37, 6000, 5);
+  px::sync_wait(rt, [&] {
+    auto const before = tasks_executed(rt);
+    field2d<simd_native_f32> f(37, 6000);
+    copy_problem(f, src);
+    (void)interior_snapshot(f);
+    EXPECT_GT(tasks_executed(rt), before);
+  });
+}
+
+template <typename P>
+void zero_on_worker_case(px::runtime& rt, std::size_t nx, std::size_t ny) {
+  px::sync_wait(rt, [&] {
+    {
+      // Dirty a block of the same size first so that the field below is
+      // likely to reuse non-zero memory.
+      field2d<P> dirty(nx, ny);
+      std::memset(static_cast<void*>(dirty.row(0)), 0xff,
+                  dirty.row_stride() * (ny + 2) * sizeof(P));
+    }
+    field2d<P> f(nx, ny);
+    auto const* bytes_begin =
+        reinterpret_cast<unsigned char const*>(f.row(0));
+    std::size_t const n = f.row_stride() * (ny + 2) * sizeof(P);
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(bytes_begin[i], 0u) << "byte " << i << " nx=" << nx;
+    for (std::size_t y = 0; y < ny; ++y) {
+      ASSERT_EQ(f.left_boundary(y), 0);
+      ASSERT_EQ(f.right_boundary(y), 0);
+    }
+  });
+}
+
+TEST(VnsConversion, FieldBuiltOnAWorkerIsZeroEverywhere) {
+  px::runtime rt(cfg3());
+  zero_on_worker_case<pack<float, 8>>(rt, 37, 6000);
+  zero_on_worker_case<pack<double, 4>>(rt, 5, 3);
+  zero_on_worker_case<pack<double, 2>>(rt, 101, 4000);
+}
+
+// run_jacobi2d_vns / _auto give the second buffer boundaries only; a run
+// that full-copies it must agree bitwise at every step count.
+template <typename Cell, typename T>
+std::vector<T> full_copy_run(field2d<T> const& initial, std::size_t steps) {
+  field2d<Cell> u0(initial.nx(), initial.ny());
+  field2d<Cell> u1(initial.nx(), initial.ny());
+  copy_problem(u0, initial);
+  copy_problem(u1, initial);
+  auto const t = run_jacobi2d(px::execution::par, u0, u1, steps);
+  return interior_snapshot(t.final_index == 0 ? u0 : u1);
+}
+
+template <typename T>
+void boundaries_only_case(px::runtime& rt, std::size_t nx, std::size_t ny) {
+  auto const initial = random_problem<T>(nx, ny, 7 * nx + ny);
+  for (std::size_t steps : {0, 1, 2, 3}) {
+    for (vns_abi abi : vns_abi_presets) {
+      px::sync_wait(rt, [&] {
+        auto const got =
+            run_jacobi2d_vns<T>(px::execution::par, abi, initial, steps);
+        auto const want = with_vns_pack<T>(abi, [&](auto tag) {
+          return full_copy_run<typename decltype(tag)::type>(initial, steps);
+        });
+        ASSERT_EQ(got.interior.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.interior.data(), want.data(),
+                              want.size() * sizeof(T)),
+                  0)
+            << vns_abi_name(abi) << " nx=" << nx << " steps=" << steps;
+      });
+    }
+    px::sync_wait(rt, [&] {
+      auto const got = run_jacobi2d_auto<T>(px::execution::par, initial, steps);
+      auto const want = full_copy_run<T>(initial, steps);
+      ASSERT_EQ(got.interior.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.interior.data(), want.data(),
+                            want.size() * sizeof(T)),
+                0)
+          << "auto nx=" << nx << " steps=" << steps;
+    });
+  }
+}
+
+TEST(VnsConversion, BoundariesOnlySecondBufferMatchesFullCopy) {
+  px::runtime rt(cfg3());
+  for (std::size_t nx : {3, 37}) {
+    boundaries_only_case<float>(rt, nx, 5);
+    boundaries_only_case<double>(rt, nx, 5);
+  }
+  boundaries_only_case<float>(rt, 37, 3000);
+}
+
+TEST(VnsConversion, SeqPolicySpawnsNoTasks) {
+  px::runtime rt(cfg3());
+  auto const initial = random_problem<float>(37, 6000, 11);
+  px::sync_wait(rt, [&] {
+    auto const before = tasks_executed(rt);
+    field2d<simd_native_f32> f(px::execution::seq, 37, 6000);
+    copy_problem(px::execution::seq, f, initial);
+    (void)interior_snapshot(px::execution::seq, f);
+    for (vns_abi abi : vns_abi_presets)
+      (void)run_jacobi2d_vns<float>(px::execution::seq, abi, initial, 2);
+    (void)run_jacobi2d_auto<float>(px::execution::seq, initial, 2);
+    EXPECT_EQ(tasks_executed(rt), before);
+  });
 }
 
 // ---- 1D heat: VNS row kernel --------------------------------------------

@@ -1,12 +1,16 @@
 // Tests for the px::torture harness itself (decision-stream determinism,
-// forall_seeds plumbing, shrink + failure dumps) and seed sweeps over the
+// forall_seeds plumbing, shrink + failure dumps, seed report on a crash)
+// and seed sweeps over the
 // scheduler-facing LCO workloads: futures, channels, latches and yield
 // storms all re-run under perturbed schedules.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "px/counters/counters.hpp"
@@ -179,6 +183,30 @@ TEST(TortureForall, RunOneReportsInvariantViolations) {
   auto bad = torture::run_one(2, [&](std::uint64_t) { broken = true; });
   ASSERT_TRUE(bad.has_value());
   EXPECT_NE(bad->find("selftest-balance"), std::string::npos);
+}
+
+TEST(TortureForallDeathTest, CrashInPropertyReportsSeed) {
+  // An abort never returns to the sweep, so there is nothing to shrink;
+  // the crash hook must still name the seed (and leave a dump behind).
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::string const stem = "torture-crashtest";
+  EXPECT_DEATH(
+      {
+        torture::forall_options opts;
+        opts.dump_stem = stem;
+        (void)torture::forall_seeds(
+            1, [](std::uint64_t) { std::abort(); }, opts);
+      },
+      "SIGABRT in property, seed=[0-9]+ decision=");
+  bool dumped = false;
+  for (auto const& e : std::filesystem::directory_iterator(".")) {
+    std::string const name = e.path().filename().string();
+    if (name.starts_with(stem + "-") && name.ends_with(".json")) {
+      dumped = true;
+      std::filesystem::remove(e.path());
+    }
+  }
+  EXPECT_TRUE(dumped) << "no " << stem << "-<seed>.json dump";
 }
 
 // ---- seed sweeps over the LCO suites ------------------------------------
