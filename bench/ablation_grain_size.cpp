@@ -3,8 +3,11 @@
 // too small" — the A64FX investigation that motivated Fig 7. This bench
 // sweeps rows-per-task on the real kernel and reports throughput plus the
 // scheduler's own counters (tasks, steals), showing where scheduling
-// overhead eats the kernel.
+// overhead eats the kernel. Bands of 16 rows or more also let
+// run_jacobi2d block several steps per pass; the steps/pass column shows
+// where that starts.
 #include <cstdio>
+#include <utility>
 
 #include "bench_common.hpp"
 #include "px/px.hpp"
@@ -25,23 +28,26 @@ int main() {
   px::runtime rt{px::scheduler_config{}};
   std::printf("grid %zux%zu, %zu steps, %zu workers\n\n", nx, ny, steps,
               rt.num_workers());
-  std::printf("rows/task |  tasks/step | MLUP/s  | tasks total | steals\n");
-  std::printf("----------+-------------+---------+-------------+-------\n");
+  std::printf("rows/task |  tasks/pass | steps/pass | MLUP/s  | tasks total "
+              "| steals\n");
+  std::printf("----------+-------------+------------+---------+-------------"
+              "+-------\n");
 
   for (std::size_t rows_per_task : {1u, 2u, 4u, 8u, 16u, 32u, 64u, 128u}) {
     if (rows_per_task > ny) break;
     field2d<float> u0(nx, ny), u1(nx, ny);
     init_dirichlet_problem(u0);
     init_dirichlet_problem(u1);
+    auto const policy = px::execution::par.with(rows_per_task);
     auto const before = rt.stats();
-    auto result = px::sync_wait(rt, [&] {
-      return run_jacobi2d(px::execution::par.with(rows_per_task), u0, u1,
-                          steps);
+    auto const [result, depth] = px::sync_wait(rt, [&] {
+      return std::make_pair(run_jacobi2d(policy, u0, u1, steps),
+                            jacobi2d_pass_depth(policy, u0));
     });
     auto const after = rt.stats();
-    std::printf("%9zu | %11zu | %7.0f | %11llu | %llu\n", rows_per_task,
-                (ny + rows_per_task - 1) / rows_per_task,
-                result.glups * 1e3,
+    std::printf("%9zu | %11zu | %10zu | %7.0f | %11llu | %llu\n",
+                rows_per_task, (ny + rows_per_task - 1) / rows_per_task,
+                depth, result.glups * 1e3,
                 static_cast<unsigned long long>(after.tasks_executed -
                                                 before.tasks_executed),
                 static_cast<unsigned long long>(after.steals -

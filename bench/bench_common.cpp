@@ -49,9 +49,9 @@ std::optional<suite_cli> parse_suite_cli(int argc, char** argv) {
   return cli;
 }
 
-int finalize_suite(runner const& r, suite_cli const& cli) {
+int finalize_suite(report const& current, suite_cli const& cli) {
   if (!cli.out.empty()) {
-    if (!write_report_file(r.result(), cli.out)) {
+    if (!write_report_file(current, cli.out)) {
       std::fprintf(stderr, "px_bench: cannot write report to '%s'\n",
                    cli.out.c_str());
       return 2;
@@ -66,7 +66,7 @@ int finalize_suite(runner const& r, suite_cli const& cli) {
     std::fprintf(stderr, "px_bench: %s\n", e.what());
     return 2;
   }
-  auto const cmp = compare(baseline, r.result(), cli.threshold_pct);
+  auto const cmp = compare(baseline, current, cli.threshold_pct);
   std::printf("\nbaseline comparison (%s):\n%s",
               cli.compare_baseline.c_str(), cmp.to_text().c_str());
   return cmp.passed ? 0 : 1;

@@ -53,7 +53,11 @@ struct suite_cli {
 
 // Writes the report, runs the comparison when requested, prints the
 // comparison table, and returns the exit code described above.
-[[nodiscard]] int finalize_suite(runner const& r, suite_cli const& cli);
+[[nodiscard]] int finalize_suite(report const& current, suite_cli const& cli);
+[[nodiscard]] inline int finalize_suite(runner const& r,
+                                        suite_cli const& cli) {
+  return finalize_suite(r.result(), cli);
+}
 
 // Brackets one timed region with registry snapshots so a timing row can
 // carry the runtime activity behind it. Construction snapshots every

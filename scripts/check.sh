@@ -38,6 +38,12 @@
 # paths within threshold of BENCH_pr5.json (75% smoke threshold unless
 # PX_BENCH_THRESHOLD overrides it — same noise rationale as --bench).
 #
+# --stress: build, then run the full suite three times over
+# (ctest --repeat until-fail:3), first at -j$(nproc) and then at -j1, so a
+# test that only passes under one load pattern — timing-sensitive waits,
+# thresholds near a scheduling delay — fails here instead of as a flake
+# in tier-1.
+#
 # --pxbench: run the benchmark's Python unit tests (pxbench/
 # test_*.py: metric arithmetic, BENCHMARK.json vs spec.json agreement)
 # with the stock unittest runner; no build needed, and no bytecode is
@@ -111,6 +117,16 @@ if [ "${1:-}" = "--serve" ]; then
     --out "$repo/build/BENCH_serve_smoke.json" \
     --compare "$repo/BENCH_pr5.json" \
     --threshold "${PX_BENCH_THRESHOLD:-75}"
+  exit 0
+fi
+
+if [ "${1:-}" = "--stress" ]; then
+  cmake -B "$repo/build" -S "$repo"
+  cmake --build "$repo/build" -j
+  jobs=$(nproc 2>/dev/null || echo 1)
+  (cd "$repo/build" && \
+   ctest --repeat until-fail:3 -j"$jobs" --output-on-failure && \
+   ctest --repeat until-fail:3 -j1 --output-on-failure)
   exit 0
 fi
 

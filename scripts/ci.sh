@@ -21,7 +21,10 @@
 #                    regression gate             (scripts/check.sh --serve)
 #   8. torture       all torture-labeled seed sweeps with a big budget
 #                    (64 seeds per property)     (scripts/check.sh --torture)
-#   9. bench         px::bench smoke run vs the committed BENCH_seed.json
+#   9. stress        the full suite three times over, at -j$(nproc) and
+#                    at -j1, to surface load-dependent flakes
+#                                                (scripts/check.sh --stress)
+#  10. bench         px::bench smoke run vs the committed BENCH_seed.json
 #                    baseline, gross-regression threshold for timings, the
 #                    in-binary coalescing, rebalance, and explicit-pack
 #                    vs auto-vectorized gates exact
@@ -36,31 +39,34 @@ set -eu
 
 scripts=$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)
 
-echo "== ci.sh: lane 1/9 tier-1 (build + full suite + sanitizers) =="
+echo "== ci.sh: lane 1/10 tier-1 (build + full suite + sanitizers) =="
 "$scripts/check.sh"
 
-echo "== ci.sh: lane 2/9 pxbench (Python unit tests) =="
+echo "== ci.sh: lane 2/10 pxbench (Python unit tests) =="
 "$scripts/check.sh" --pxbench
 
-echo "== ci.sh: lane 3/9 resilience (ctest -L resilience) =="
+echo "== ci.sh: lane 3/10 resilience (ctest -L resilience) =="
 "$scripts/check.sh" --resilience
 
-echo "== ci.sh: lane 4/9 agas (ctest -L agas) =="
+echo "== ci.sh: lane 4/10 agas (ctest -L agas) =="
 "$scripts/check.sh" --agas
 
-echo "== ci.sh: lane 5/9 partition (ctest -L partition) =="
+echo "== ci.sh: lane 5/10 partition (ctest -L partition) =="
 "$scripts/check.sh" --partition
 
-echo "== ci.sh: lane 6/9 simd (ctest -L simd) =="
+echo "== ci.sh: lane 6/10 simd (ctest -L simd) =="
 "$scripts/check.sh" --simd
 
-echo "== ci.sh: lane 7/9 serve (ctest -L serve + ws_policy perf gate) =="
+echo "== ci.sh: lane 7/10 serve (ctest -L serve + ws_policy perf gate) =="
 "$scripts/check.sh" --serve
 
-echo "== ci.sh: lane 8/9 torture (ctest -L torture) =="
+echo "== ci.sh: lane 8/10 torture (ctest -L torture) =="
 "$scripts/check.sh" --torture
 
-echo "== ci.sh: lane 9/9 bench smoke (px::bench vs BENCH_seed.json) =="
+echo "== ci.sh: lane 9/10 stress (full suite, repeat until-fail:3) =="
+"$scripts/check.sh" --stress
+
+echo "== ci.sh: lane 10/10 bench smoke (px::bench vs BENCH_seed.json) =="
 "$scripts/check.sh" --bench
 
 echo "== ci.sh: all lanes passed =="

@@ -89,8 +89,11 @@ class task_freelist {
  public:
   // Refill quantum pulled from the shared pool on a local miss.
   static constexpr std::size_t refill_batch = 32;
+  // Blocks a worker keeps before overflowing to the shared pool; the ones
+  // it holds are out of reach of every other worker's spawns.
+  static constexpr std::size_t default_max_cached = 128;
 
-  explicit task_freelist(std::size_t max_cached = 128) noexcept
+  explicit task_freelist(std::size_t max_cached = default_max_cached) noexcept
       : max_cached_(max_cached) {}
 
   task_freelist(task_freelist const&) = delete;

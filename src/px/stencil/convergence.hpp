@@ -56,7 +56,8 @@ struct converged_result {
 
 // Sweeps until the residual drops below `tolerance` or `max_sweeps` is
 // exhausted. The residual is evaluated every `check_every` sweeps (a full
-// extra pass over the grid — checking each sweep would halve throughput).
+// extra pass over the grid — checking each sweep would halve throughput);
+// each batch in between is one temporally blocked run_jacobi2d.
 template <typename Cell, typename Policy>
 converged_result solve_jacobi2d_to_tolerance(Policy const& policy,
                                              field2d<Cell>& u0,
@@ -72,15 +73,9 @@ converged_result solve_jacobi2d_to_tolerance(Policy const& policy,
   while (res.sweeps < max_sweeps) {
     std::size_t const batch =
         std::min(check_every, max_sweeps - res.sweeps);
-    for (std::size_t b = 0; b < batch; ++b) {
-      field2d<Cell> const& curr = *grids[res.sweeps % 2];
-      field2d<Cell>& next = *grids[(res.sweeps + 1) % 2];
-      std::size_t const ny = curr.ny();
-      parallel::for_loop(policy, 1, ny + 1, [&](std::size_t y) {
-        jacobi2d_row_update(curr, next, y);
-      });
-      ++res.sweeps;
-    }
+    run_jacobi2d(policy, *grids[res.sweeps % 2],
+                 *grids[(res.sweeps + 1) % 2], batch);
+    res.sweeps += batch;
     res.residual =
         jacobi2d_residual(policy, *grids[res.sweeps % 2]);
     if (res.residual <= tolerance) {

@@ -233,8 +233,16 @@ class field2d {
   // and boundary scalars — the per-row "shuffle" of Listing 2. No-op for
   // scalar fields (their ghosts are stored directly).
   void refresh_row_halos(std::size_t y) noexcept {
+    if constexpr (vectorized) refresh_row_halos(row(y), y);
+  }
+
+  // The same refresh for a row buffer `r` (row_stride() cells) that holds
+  // a state of storage row y outside the field — a temporally blocked
+  // sweep's scratch row. Its halos come from row y's ghosts: the boundary
+  // scalars through the seams (with the padded-lane pin) for packs, the
+  // stored ghost cells for scalars.
+  void refresh_row_halos(Cell* r, std::size_t y) const noexcept {
     if constexpr (vectorized) {
-      Cell* r = row(y);
       if (nx_ < lanes * cells_) {
         // Padded row: pin the first padded scalar s[nx] to the right ghost
         // so the last real cell's pack-neighbour read sees the boundary.
@@ -246,7 +254,8 @@ class field2d {
       r[0] = simd::vns::left_seam(r[cells_], ghost_left_[y]);
       r[cells_ + 1] = simd::vns::right_seam(r[1], ghost_right_[y]);
     } else {
-      (void)y;
+      r[0] = row(y)[0];
+      r[cells_ + 1] = row(y)[cells_ + 1];
     }
   }
 

@@ -5,9 +5,20 @@
 // align their storage to cache-line boundaries and leave it untouched on
 // allocation (default_init_allocator), so the px workers that zero-fill it
 // row by row do the first touch and place its pages.
+//
+// Blocks of huge_page_advice_bytes or more (grids, STREAM arrays) are
+// advised onto transparent huge pages: fewer first-touch faults and TLB
+// misses, and a release that unmaps a few hundred huge pages instead of
+// ~10^5 small ones. The advice is best effort and Linux only.
 #pragma once
 
+#if defined(__linux__)
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
+
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <memory>
@@ -19,6 +30,25 @@
 
 namespace px {
 
+inline constexpr std::size_t huge_page_advice_bytes = std::size_t{8} << 20;
+
+// MADV_HUGEPAGE on the whole pages inside [p, p + bytes).
+inline void advise_huge_pages(void* p, std::size_t bytes) noexcept {
+#if defined(__linux__) && defined(MADV_HUGEPAGE)
+  static std::uintptr_t const page =
+      static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  std::uintptr_t const lo = reinterpret_cast<std::uintptr_t>(p);
+  std::uintptr_t const first = (lo + page - 1) / page * page;
+  std::uintptr_t const last = (lo + bytes) / page * page;
+  if (last > first)
+    (void)madvise(reinterpret_cast<void*>(first), last - first,
+                  MADV_HUGEPAGE);
+#else
+  (void)p;
+  (void)bytes;
+#endif
+}
+
 [[nodiscard]] inline void* aligned_alloc_bytes(std::size_t bytes,
                                                std::size_t alignment) {
   PX_ASSERT_MSG((alignment & (alignment - 1)) == 0,
@@ -28,6 +58,7 @@ namespace px {
   std::size_t const rounded = (bytes + alignment - 1) / alignment * alignment;
   void* p = std::aligned_alloc(alignment, rounded);
   if (p == nullptr) throw std::bad_alloc{};
+  if (rounded >= huge_page_advice_bytes) advise_huge_pages(p, rounded);
   return p;
 }
 

@@ -56,20 +56,20 @@ TEST(BenchCli, SmokeScalingHasFloorOfOne) {
   EXPECT_EQ(cli.scaled(1600), 1600u);
 }
 
-runner make_runner(double scale) {
-  runner_options opts;
-  opts.reps = 1;
-  opts.warmup = 0;
-  opts.run_seed = 42;
-  opts.verbose = false;
-  runner r(opts);
-  // Workload duration scales with `scale` so a "current" runner can be
-  // made measurably slower than a recorded baseline.
-  std::uint64_t const spins = static_cast<std::uint64_t>(20000.0 * scale);
-  r.run("cli.case", {}, 4, [spins](std::uint64_t iters) {
-    volatile std::uint64_t sink = 0;
-    for (std::uint64_t i = 0; i < iters * spins; ++i) sink = sink + i;
-  });
+// A fixed one-case report: the exit-code contract is about comparing
+// reports, so the cases carry synthetic timings rather than a measured
+// spin loop whose duration scheduling noise could stretch past either
+// threshold.
+report make_report(double ns_per_op) {
+  bench_result b;
+  b.name = "cli.case";
+  b.iterations = 4;
+  b.reps = 1;
+  b.ns_per_op_median = ns_per_op;
+  report r;
+  r.run_seed = 42;
+  r.reps = 1;
+  r.benchmarks.push_back(b);
   return r;
 }
 
@@ -79,7 +79,7 @@ TEST(BenchCli, ExitCodesPassRegressionAndIoError) {
 
   // Record a baseline via the normal write path: exit 0, file readable.
   {
-    runner base = make_runner(1.0);
+    report const base = make_report(1000.0);
     suite_cli cli;
     cli.out = baseline_path;
     EXPECT_EQ(finalize_suite(base, cli), 0);
@@ -89,7 +89,7 @@ TEST(BenchCli, ExitCodesPassRegressionAndIoError) {
   // Self-comparison of an equal-speed run passes (exit 0) and still
   // writes the requested report.
   {
-    runner same = make_runner(1.0);
+    report const same = make_report(1000.0);
     suite_cli cli;
     cli.out = out_path;
     cli.compare_baseline = baseline_path;
@@ -100,7 +100,7 @@ TEST(BenchCli, ExitCodesPassRegressionAndIoError) {
 
   // A grossly slower run against a tight threshold is a regression: exit 1.
   {
-    runner slow = make_runner(25.0);
+    report const slow = make_report(25000.0);
     suite_cli cli;
     cli.compare_baseline = baseline_path;
     cli.threshold_pct = 5.0;
@@ -109,13 +109,13 @@ TEST(BenchCli, ExitCodesPassRegressionAndIoError) {
 
   // Unreadable baseline / unwritable report: exit 2.
   {
-    runner r = make_runner(1.0);
+    report const r = make_report(1000.0);
     suite_cli cli;
     cli.compare_baseline = "/tmp/px_bench_cli_no_such_baseline.json";
     EXPECT_EQ(finalize_suite(r, cli), 2);
   }
   {
-    runner r = make_runner(1.0);
+    report const r = make_report(1000.0);
     suite_cli cli;
     cli.out = "/tmp/px_no_such_dir_for_bench/out.json";
     EXPECT_EQ(finalize_suite(r, cli), 2);

@@ -1,8 +1,13 @@
 // Tests for the 2D Jacobi solver: agreement with the serial reference,
 // scalar-vs-pack equivalence across widths and precisions, boundary
-// handling, and convergence.
+// handling, convergence, and the temporally blocked sweep (bitwise against
+// a per-step loop, the depth rule and the band-pass geometry).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "jacobi2d_per_step.hpp"
 #include "px/px.hpp"
 #include "px/stencil/convergence.hpp"
 #include "px/stencil/jacobi2d.hpp"
@@ -238,6 +243,86 @@ TEST(Jacobi2d, SequencedPolicyGivesSameAnswer) {
   for (std::size_t y = 0; y < 6; ++y)
     for (std::size_t x = 0; x < 8; ++x)
       ASSERT_EQ(a1.get(x, y), b1.get(x, y));
+}
+
+// ---- temporal blocking --------------------------------------------------
+
+TEST(Jacobi2dTemporal, ScalarFloatBitwiseEqualsPerStepLoop) {
+  px::runtime rt(cfg3());
+  px_test::expect_blocked_matches_per_step_everywhere<float>(rt);
+}
+TEST(Jacobi2dTemporal, ScalarDoubleBitwiseEqualsPerStepLoop) {
+  px::runtime rt(cfg3());
+  px_test::expect_blocked_matches_per_step_everywhere<double>(rt);
+}
+TEST(Jacobi2dTemporal, PackDoubleW4BitwiseEqualsPerStepLoop) {
+  px::runtime rt(cfg3());
+  px_test::expect_blocked_matches_per_step_everywhere<pack<double, 4>>(rt);
+}
+TEST(Jacobi2dTemporal, PackFloatW8BitwiseEqualsPerStepLoop) {
+  px::runtime rt(cfg3());
+  px_test::expect_blocked_matches_per_step_everywhere<pack<float, 8>>(rt);
+}
+
+// The band pass on its own, at depths the depth rule never picks (even
+// ones, deeper than the grid, deeper than the band): bands tiling [1, ny]
+// in order must give exactly `depth` single sweeps.
+template <typename Cell>
+void band_pass_case(std::size_t nx, std::size_t ny, std::size_t band,
+                    std::size_t depth) {
+  using T = px::simd::get_type_t<Cell>;
+  auto const initial = px_test::random_problem<T>(nx, ny, 5 * ny + depth);
+  field2d<Cell> u0(px::execution::seq, nx, ny), u1(px::execution::seq, nx, ny);
+  field2d<Cell> r0(px::execution::seq, nx, ny), r1(px::execution::seq, nx, ny);
+  for (auto* f : {&u0, &u1, &r0, &r1})
+    copy_problem(px::execution::seq, *f, initial);
+  std::vector<Cell> scratch(3 * (depth - 1) * u0.row_stride());
+  for (std::size_t lo = 1; lo <= ny; lo += band)
+    detail::jacobi2d_band_pass(u0, u1, lo, std::min(lo + band, ny + 1), depth,
+                               scratch.data());
+  px_test::per_step_sweeps(r0, r1, depth);
+  EXPECT_TRUE(px_test::same_storage(u1, depth % 2 == 0 ? r0 : r1))
+      << "nx=" << nx << " ny=" << ny << " band=" << band
+      << " depth=" << depth;
+}
+
+TEST(Jacobi2dTemporal, BandPassGeometryMatchesPerStepAtAnyDepth) {
+  for (std::size_t ny : {1, 2, 5, 13}) {
+    for (std::size_t band : {1, 2, 3, 13}) {
+      for (std::size_t depth : {1, 2, 3, 4, 7, 9}) {
+        band_pass_case<double>(5, ny, band, depth);
+        band_pass_case<float>(3, ny, band, depth);
+        band_pass_case<pack<double, 4>>(7, ny, band, depth);
+      }
+    }
+  }
+}
+
+TEST(Jacobi2dTemporal, DepthRuleIsOddAndFallsBackToSingleSweeps) {
+  // 3 * (d - 1) rows within the 1 MiB per-worker budget, d - 1 <= band / 8.
+  EXPECT_EQ(detail::temporal_depth(41088, 336), 9u);  // the pxbench grid
+  EXPECT_EQ(detail::temporal_depth(64, 7), 1u);
+  EXPECT_EQ(detail::temporal_depth(64, 16), 3u);
+  EXPECT_EQ(detail::temporal_depth(64, 24), 3u);  // lag 3 rounds down
+  EXPECT_EQ(detail::temporal_depth(64, 1600), 201u);
+  EXPECT_EQ(detail::temporal_depth(400'000, 100'000), 1u);  // huge rows
+  for (std::size_t row = 8; row < 1'000'000; row = row * 3 + 1)
+    for (std::size_t band = 1; band < 5000; band = band * 2 + 1)
+      EXPECT_EQ(detail::temporal_depth(row, band) % 2, 1u);
+
+  px::runtime rt(cfg3());
+  field2d<double> tiny(px::execution::seq, 8, 4);
+  field2d<double> tall(px::execution::seq, 8, 1600);
+  field2d<double> wide(px::execution::seq, 50'000, 16);
+  EXPECT_EQ(jacobi2d_pass_depth(px::execution::seq, tiny), 1u);
+  EXPECT_EQ(jacobi2d_pass_depth(px::execution::seq, wide), 1u);
+  EXPECT_EQ(jacobi2d_pass_depth(px::execution::seq, tall), 201u);
+  px::sync_wait(rt, [&] {
+    EXPECT_EQ(jacobi2d_pass_depth(px::execution::par.with(1), tall), 1u);
+    // 3 workers: 24 bands of 66 rows.
+    EXPECT_EQ(jacobi2d_pass_depth(px::execution::par, tall), 9u);
+    return 0;
+  });
 }
 
 }  // namespace

@@ -373,7 +373,11 @@ TEST(FailureDetector, SilentLocalityIsSuspectedThenConfirmed) {
   // plane does not mark the locality dead, so the only path to a confirm
   // is organic heartbeat silence.
   dom.fabric().faults().hang_now(2);
-  ASSERT_TRUE(eventually(5'000, [&] { return dom.is_confirmed_dead(2); }));
+  // Wait on what the confirm hook stored, not on is_confirmed_dead(2): the
+  // dead flag is published inside the confirm, before the confirm counter
+  // and the hooks run, so polling the flag can observe a confirm that has
+  // not yet reached them.
+  ASSERT_TRUE(eventually(5'000, [&] { return confirmed.load() == 2; }));
 
   EXPECT_EQ(suspected.load(), 2);
   EXPECT_EQ(confirmed.load(), 2);

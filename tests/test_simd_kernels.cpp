@@ -2,9 +2,11 @@
 // encode/decode round-trips at arbitrary (odd) row lengths, the seam
 // rotations against a scalar neighbour gather on random rows, the
 // ABI-preset 2D Jacobi runners against the serial reference and the
-// auto-vectorized solver, the row-parallel layout conversion (field
-// zero-fill, copy_problem / interior_snapshot against the per-element path,
-// boundaries-only second buffer, no tasks under seq), the VNS 1D heat
+// auto-vectorized solver, the temporally blocked sweep at every preset
+// (bitwise against a per-step loop, one fork/join per pass), the
+// row-parallel layout conversion (field zero-fill, copy_problem /
+// interior_snapshot against the per-element path, boundaries-only second
+// buffer, no tasks under seq), the VNS 1D heat
 // kernel, unaligned pack ops at odd offsets, and the cache-blocked 3D
 // Jacobi (reference agreement, block-shape invariance, env knobs, and a
 // seed sweep in the torture lane).
@@ -19,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "jacobi2d_per_step.hpp"
 #include "px/px.hpp"
 #include "px/stencil/reference.hpp"
 #include "px/torture/forall.hpp"
@@ -27,6 +30,8 @@
 namespace {
 
 using px::simd::pack;
+using px_test::random_problem;
+using px_test::same_storage;
 using namespace px::stencil;
 
 using simd_native_f32 = px::simd::abi::native<float>;
@@ -285,30 +290,61 @@ TEST(Jacobi2dVns, AbiParsingAndLanes) {
   EXPECT_EQ(std::string(vns_abi_name(vns_abi::sve512)), "sve512");
 }
 
-// ---- row-parallel layout conversion --------------------------------------
+// ---- temporal blocking at every preset ----------------------------------
 
 std::uint64_t tasks_executed(px::runtime& rt) {
   return rt.sched().aggregate_stats().tasks_executed;
 }
 
-// A scalar problem with random interior and boundaries.
 template <typename T>
-field2d<T> random_problem(std::size_t nx, std::size_t ny,
-                          std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<T> dist(T(-2), T(2));
-  field2d<T> f(px::execution::seq, nx, ny);
-  for (std::size_t y = 0; y < ny; ++y) {
-    for (std::size_t x = 0; x < nx; ++x) f.set(x, y, dist(rng));
-    f.set_left_boundary(y, dist(rng));
-    f.set_right_boundary(y, dist(rng));
+void presets_blocked_case(px::runtime& rt) {
+  for (vns_abi abi : vns_abi_presets) {
+    SCOPED_TRACE(vns_abi_name(abi));
+    with_vns_pack<T>(abi, [&](auto tag) {
+      px_test::expect_blocked_matches_per_step_everywhere<
+          typename decltype(tag)::type>(rt);
+    });
   }
-  for (std::size_t x = 0; x < nx; ++x) {
-    f.set_top_boundary(x, dist(rng));
-    f.set_bottom_boundary(x, dist(rng));
-  }
-  return f;
 }
+
+TEST(Jacobi2dVns, AllPresetsBlockedSweepBitwiseEqualsPerStepLoopFloat) {
+  px::runtime rt(cfg3());
+  presets_blocked_case<float>(rt);
+}
+
+TEST(Jacobi2dVns, AllPresetsBlockedSweepBitwiseEqualsPerStepLoopDouble) {
+  px::runtime rt(cfg3());
+  presets_blocked_case<double>(rt);
+}
+
+TEST(Jacobi2dVns, NativeBlockedSweepRunsOneForkJoinPerPass) {
+  // Per-step sweeps would run steps * bands band tasks; the blocked path
+  // runs one fork/join per pass. Task slices also count the caller's
+  // resumptions (at most one per pass) and can lag the join, so the delta
+  // is bounded from above only.
+  px::runtime rt(cfg3());
+  constexpr std::size_t nx = 37, ny = 1600;
+  auto const initial = random_problem<float>(nx, ny, 3);
+  px::sync_wait(rt, [&] {
+    field2d<simd_native_f32> u0(px::execution::seq, nx, ny);
+    field2d<simd_native_f32> u1(px::execution::seq, nx, ny);
+    copy_problem(px::execution::seq, u0, initial);
+    copy_problem(px::execution::seq, u1, initial);
+    std::size_t const d = jacobi2d_pass_depth(px::execution::par, u0);
+    std::size_t const bands = px::execution::auto_num_chunks(ny, 3);
+    EXPECT_EQ(d, 9u);
+    std::size_t const steps = 2 * d + 3;  // passes d, d, 3
+    auto const before = tasks_executed(rt);
+    (void)run_jacobi2d(px::execution::par, u0, u1, steps);
+    auto const delta = tasks_executed(rt) - before;
+    EXPECT_GT(delta, 0u);
+    EXPECT_LE(delta, 3 * (bands + 1));
+    EXPECT_LT(3 * (bands + 1), steps * bands);
+    return 0;
+  });
+}
+
+// ---- row-parallel layout conversion --------------------------------------
 
 // The per-element conversion: get/set for the interior, the boundary
 // setters for the ghosts, then every row's halos.
@@ -324,12 +360,6 @@ void copy_per_element(field2d<Cell>& dst, field2d<T> const& src) {
     dst.set_bottom_boundary(x, src.bottom_boundary_value(x));
   }
   dst.refresh_all_halos();
-}
-
-template <typename Cell>
-bool same_storage(field2d<Cell> const& a, field2d<Cell> const& b) {
-  return std::memcmp(a.row(0), b.row(0),
-                     a.row_stride() * (a.ny() + 2) * sizeof(Cell)) == 0;
 }
 
 template <typename T>

@@ -118,25 +118,37 @@ constexpr int batch = 256;
 
 // One spawn/drain cycle driven from inside task-land (worker-thread spawns
 // are the pooled path; external threads legitimately hit the allocator).
-// The orchestrator fans out `batch` children and spin-yields until all ran;
-// no futures or latches — their shared state would allocate and hide the
+// The orchestrator, placed on `worker` (-1: anywhere), fans out `children`
+// and spin-yields until all ran; with `hold` every child also spin-yields
+// until the last one is spawned, so all of them are live at once. No
+// futures or latches — their shared state would allocate and hide the
 // property under test.
-void spawn_drain_cycle(px::runtime& rt, std::atomic<std::uint64_t>* delta) {
+void spawn_drain_cycle(px::runtime& rt, std::atomic<std::uint64_t>* delta,
+                       int children = batch, bool hold = false,
+                       int worker = -1) {
   std::atomic<bool> done{false};
-  rt.post([&rt, &done, delta] {
-    std::atomic<int> ran{0};
-    std::uint64_t const before = g_allocs.load(std::memory_order_relaxed);
-    for (int i = 0; i < batch; ++i) {
-      rt.sched().spawn(
-          [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    }
-    while (ran.load(std::memory_order_relaxed) < batch) px::this_task::yield();
-    if (delta != nullptr) {
-      delta->store(g_allocs.load(std::memory_order_relaxed) - before,
-                   std::memory_order_relaxed);
-    }
-    done.store(true, std::memory_order_release);
-  });
+  rt.post(
+      [&rt, &done, delta, children, hold] {
+        std::atomic<int> ran{0};
+        std::atomic<bool> release{!hold};
+        std::uint64_t const before = g_allocs.load(std::memory_order_relaxed);
+        for (int i = 0; i < children; ++i) {
+          rt.sched().spawn([&ran, &release] {
+            while (!release.load(std::memory_order_acquire))
+              px::this_task::yield();
+            ran.fetch_add(1, std::memory_order_relaxed);
+          });
+        }
+        release.store(true, std::memory_order_release);
+        while (ran.load(std::memory_order_relaxed) < children)
+          px::this_task::yield();
+        if (delta != nullptr) {
+          delta->store(g_allocs.load(std::memory_order_relaxed) - before,
+                       std::memory_order_relaxed);
+        }
+        done.store(true, std::memory_order_release);
+      },
+      worker);
   rt.wait_quiescent();
   ASSERT_TRUE(done.load(std::memory_order_acquire));
 }
@@ -147,6 +159,19 @@ TEST(TaskPool, SteadyStateSpawnIsAllocationFree) {
   // working-set high-water mark. Several rounds so every worker's freelist
   // has seen the batch.
   for (int round = 0; round < 4; ++round) spawn_drain_cycle(rt, nullptr);
+  // The precondition of an allocation-free batch under any interleaving:
+  // blocks the other workers retire sit in their local freelists (up to
+  // default_max_cached each), out of the spawning worker's reach, so the
+  // pool must hold batch + (workers - 1) * default_max_cached blocks, and
+  // whichever worker runs the orchestrator must have had a batch in its
+  // deque. Plain rounds reach that only on lucky interleavings; one held
+  // round of that many live children per worker establishes it.
+  std::size_t const workers = cfg().num_workers;
+  int const high_water = static_cast<int>(
+      batch + (workers - 1) * px::rt::task_freelist::default_max_cached);
+  for (std::size_t w = 0; w < workers; ++w)
+    spawn_drain_cycle(rt, nullptr, high_water, /*hold=*/true,
+                      static_cast<int>(w));
 
   std::atomic<std::uint64_t> delta{~std::uint64_t{0}};
   spawn_drain_cycle(rt, &delta);
