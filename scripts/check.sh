@@ -4,7 +4,9 @@
 #
 # A second, sanitizer lane (ASan + UBSan, build-san/) then re-runs the
 # transport-heavy suites — fault injection exercises timer/ack races that
-# only a sanitizer can vouch for. Skip it with PX_SKIP_SAN=1.
+# only a sanitizer can vouch for — and the distributed stencil suites,
+# whose partition components carry confirm hooks and migrate. Skip it
+# with PX_SKIP_SAN=1.
 #
 # --torture: instead of the tiers above, build and run only the
 # ctest-labeled torture suites (px::torture seed sweeps) with a big seed
@@ -46,8 +48,10 @@
 #
 # --pxbench: run the benchmark's Python unit tests (pxbench/
 # test_*.py: metric arithmetic, BENCHMARK.json vs spec.json agreement)
-# with the stock unittest runner; no build needed, and no bytecode is
-# written into the source tree.
+# with the stock unittest runner (no bytecode is written into the source
+# tree), then configure and build the benchmark's C++ workload program
+# into build/pxbench without running it, so a library header change that
+# breaks pxbench/workloads.cpp fails here rather than in the benchmark.
 #
 # --bench: smoke-run the px::bench regression suite (scripts/bench.sh
 # --smoke) against the committed baseline BENCH_seed.json when present.
@@ -133,6 +137,8 @@ fi
 if [ "${1:-}" = "--pxbench" ]; then
   (cd "$repo" && PYTHONDONTWRITEBYTECODE=1 \
    python3 -m unittest discover -s pxbench -p 'test_*.py')
+  cmake -B "$repo/build/pxbench" -S "$repo/pxbench"
+  cmake --build "$repo/build/pxbench" -j --target pxbench_workloads
   exit 0
 fi
 
@@ -160,6 +166,7 @@ fi
 cmake -B "$repo/build-san" -S "$repo" \
   -DPX_SANITIZE=ON -DPX_BUILD_BENCH=OFF -DPX_BUILD_EXAMPLES=OFF
 cmake --build "$repo/build-san" -j \
-  --target test_fault_injection --target test_parcel
+  --target test_fault_injection --target test_parcel \
+  --target test_dist_heat --target test_dist_jacobi --target test_rebalance
 (cd "$repo/build-san" && ctest --output-on-failure \
-  -R 'test_fault_injection|test_parcel')
+  -R 'test_fault_injection|test_parcel|test_dist_heat|test_dist_jacobi|test_rebalance')

@@ -2,8 +2,9 @@
 # Single CI entry point: chains every verification lane in cost order.
 #
 #   1. tier-1        fresh build + full ctest + sanitizer re-run of the
-#                    transport suites            (scripts/check.sh)
-#   2. pxbench       the benchmark's Python unit tests
+#                    transport + distributed stencil suites
+#                                                (scripts/check.sh)
+#   2. pxbench       the benchmark's Python unit tests + workload build
 #                                                (scripts/check.sh --pxbench)
 #   3. resilience    kill/restart + checkpoint/rollback suites under a
 #                    16-seed torture sweep       (scripts/check.sh --resilience)
@@ -42,7 +43,7 @@ scripts=$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)
 echo "== ci.sh: lane 1/10 tier-1 (build + full suite + sanitizers) =="
 "$scripts/check.sh"
 
-echo "== ci.sh: lane 2/10 pxbench (Python unit tests) =="
+echo "== ci.sh: lane 2/10 pxbench (Python unit tests + workload build) =="
 "$scripts/check.sh" --pxbench
 
 echo "== ci.sh: lane 3/10 resilience (ctest -L resilience) =="

@@ -4,7 +4,9 @@
 // each returns futures so collectives overlap with other work.
 #pragma once
 
+#include <algorithm>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "px/dist/distributed_domain.hpp"
@@ -71,23 +73,27 @@ T reduce(locality& from, T init, Op op, Args const&... args) {
   return init;
 }
 
-// Splits `data` into `parts` contiguous blocks (sizes differ by <= 1),
-// the decomposition used by scatter-style collectives and the solvers.
+// [lo, hi) of block `index` when `n` items split into `parts` contiguous
+// blocks whose sizes differ by at most one (the first n % parts are
+// larger): the decomposition of scatter-style collectives and the solvers.
+[[nodiscard]] inline std::pair<std::size_t, std::size_t> block_bounds(
+    std::size_t n, std::size_t parts, std::size_t index) {
+  std::size_t const base = n / parts;
+  std::size_t const extra = n % parts;
+  std::size_t const lo = index * base + std::min(index, extra);
+  return {lo, lo + base + (index < extra ? 1 : 0)};
+}
+
+// Splits `data` into `parts` blocks as block_bounds does.
 template <typename T>
 std::vector<std::vector<T>> split_blocks(std::vector<T> const& data,
                                          std::size_t parts) {
   PX_ASSERT(parts >= 1);
-  std::vector<std::vector<T>> blocks;
-  blocks.reserve(parts);
-  std::size_t const n = data.size();
-  std::size_t const base = n / parts;
-  std::size_t const extra = n % parts;
-  std::size_t lo = 0;
+  std::vector<std::vector<T>> blocks(parts);
   for (std::size_t p = 0; p < parts; ++p) {
-    std::size_t const size = base + (p < extra ? 1 : 0);
-    blocks.emplace_back(data.begin() + static_cast<std::ptrdiff_t>(lo),
-                        data.begin() + static_cast<std::ptrdiff_t>(lo + size));
-    lo += size;
+    auto const [lo, hi] = block_bounds(data.size(), parts, p);
+    blocks[p].assign(data.begin() + static_cast<std::ptrdiff_t>(lo),
+                     data.begin() + static_cast<std::ptrdiff_t>(hi));
   }
   return blocks;
 }

@@ -125,7 +125,7 @@ class distributed_domain {
   // count has not drained by `timeout` (a leaked obligation, exactly what
   // the obligation-balance invariant exists to catch). The locality
   // schedulers are still waited on unconditionally — only the in-flight
-  // drain is bounded.
+  // drain is bounded. nanoseconds::max() is wait_all_quiescent.
   [[nodiscard]] bool wait_all_quiescent_for(std::chrono::nanoseconds timeout);
 
   // Current in-flight obligation count (scheduled frames + unacked reliable
@@ -286,6 +286,12 @@ class distributed_domain {
   domain_config const cfg_;
   net::fabric fabric_;
   bool reliable_ = false;
+  // Confirm hooks outlive the localities: a component torn down with its
+  // locality's registry unregisters its hook.
+  std::mutex hooks_mutex_;
+  std::uint64_t next_hook_id_ = 1;
+  std::unordered_map<std::uint64_t, std::function<void(std::uint32_t)>>
+      confirm_hooks_;
   std::vector<std::unique_ptr<locality>> localities_;
   std::vector<std::unique_ptr<detail::link_state>> links_;
 
@@ -317,10 +323,6 @@ class distributed_domain {
   std::unique_ptr<std::atomic<std::uint64_t>[]> incarnations_;
   std::atomic<std::uint64_t> membership_epoch_{1};
   std::mutex membership_mutex_;  // serializes confirm/restart transitions
-  std::mutex hooks_mutex_;
-  std::uint64_t next_hook_id_ = 1;
-  std::unordered_map<std::uint64_t, std::function<void(std::uint32_t)>>
-      confirm_hooks_;
   // Declared before the detector: the detector holds a reference and must
   // be torn down first.
   std::unique_ptr<membership_view> membership_;

@@ -160,6 +160,15 @@ class locality {
   // (parked against a migration, forwarded along a tombstone, or failed on
   // hop-budget exhaustion).
   bool component_route(parcel::parcel& p);
+  // The one path behind call/apply/call_component/apply_component: builds
+  // the parcel for Fn (a valid `target` makes it component-addressed) and,
+  // for a call, registers the response slot that fulfils the future.
+  template <auto Fn, typename... Args>
+  parcel::parcel action_parcel(std::uint32_t dest, agas::gid target,
+                               Args&&... args);
+  template <auto Fn>
+  auto send_call(parcel::parcel p)
+      -> future<typename detail::fn_sig<decltype(Fn)>::ret>;
   // First-hop pick for call_component/apply_component.
   [[nodiscard]] std::uint32_t component_destination(agas::gid g);
   // Parks a parcel whose target is mid-migration; re-delivered by
@@ -278,16 +287,31 @@ void complete_response(lcos::detail::shared_state<R>& state,
 }  // namespace detail
 
 template <auto Fn, typename... Args>
-auto locality::call(std::uint32_t dest, Args&&... args)
-    -> future<typename detail::fn_sig<decltype(Fn)>::ret> {
-  using sig = detail::fn_sig<decltype(Fn)>;
-  using R = typename sig::ret;
+parcel::parcel locality::action_parcel(std::uint32_t dest, agas::gid target,
+                                       Args&&... args) {
   PX_ASSERT_MSG(parcel::action_traits<Fn>::id != 0,
                 "action used before PX_REGISTER_ACTION");
+  typename detail::fn_sig<decltype(Fn)>::args_tuple tup(
+      std::forward<Args>(args)...);
+  serial::output_archive out;
+  out& tup;
 
+  parcel::parcel p;
+  p.source = id_;
+  p.dest = dest;
+  p.action = parcel::action_traits<Fn>::id;
+  p.target = target;
+  p.payload = out.take();
+  return p;
+}
+
+template <auto Fn>
+auto locality::send_call(parcel::parcel p)
+    -> future<typename detail::fn_sig<decltype(Fn)>::ret> {
+  using R = typename detail::fn_sig<decltype(Fn)>::ret;
   auto state = std::make_shared<lcos::detail::shared_state<R>>();
-  std::uint64_t const token = register_response_slot(
-      dest,
+  p.response_token = register_response_slot(
+      p.dest,
       [state](parcel::parcel&& resp, std::exception_ptr transport_failure) {
         if (transport_failure != nullptr) {
           state->set_exception(std::move(transport_failure));
@@ -295,101 +319,51 @@ auto locality::call(std::uint32_t dest, Args&&... args)
         }
         detail::complete_response(*state, std::move(resp));
       });
-
-  typename sig::args_tuple tup(std::forward<Args>(args)...);
-  serial::output_archive out;
-  out& tup;
-
-  parcel::parcel p;
-  p.source = id_;
-  p.dest = dest;
-  p.action = parcel::action_traits<Fn>::id;
-  p.response_token = token;
-  p.payload = out.take();
   send(std::move(p));
   return lcos::detail::make_future_from_state(std::move(state));
 }
 
 template <auto Fn, typename... Args>
-void locality::apply(std::uint32_t dest, Args&&... args) {
-  using sig = detail::fn_sig<decltype(Fn)>;
-  PX_ASSERT_MSG(parcel::action_traits<Fn>::id != 0,
-                "action used before PX_REGISTER_ACTION");
-  typename sig::args_tuple tup(std::forward<Args>(args)...);
-  serial::output_archive out;
-  out& tup;
+auto locality::call(std::uint32_t dest, Args&&... args)
+    -> future<typename detail::fn_sig<decltype(Fn)>::ret> {
+  return send_call<Fn>(action_parcel<Fn>(dest, agas::invalid_gid,
+                                         std::forward<Args>(args)...));
+}
 
-  parcel::parcel p;
-  p.source = id_;
-  p.dest = dest;
-  p.action = parcel::action_traits<Fn>::id;
-  p.payload = out.take();
-  send(std::move(p));
+template <auto Fn, typename... Args>
+void locality::apply(std::uint32_t dest, Args&&... args) {
+  send(action_parcel<Fn>(dest, agas::invalid_gid, std::forward<Args>(args)...));
 }
 
 template <auto Fn, typename... Args>
 auto locality::call_component(agas::gid g, Args&&... args)
     -> future<typename detail::fn_sig<decltype(Fn)>::ret> {
-  using sig = detail::fn_sig<decltype(Fn)>;
-  using R = typename sig::ret;
-  PX_ASSERT_MSG(parcel::action_traits<Fn>::id != 0,
-                "action used before PX_REGISTER_ACTION");
-  std::uint32_t const dest = component_destination(g);
-
-  auto state = std::make_shared<lcos::detail::shared_state<R>>();
-  std::uint64_t const token = register_response_slot(
-      dest,
-      [state](parcel::parcel&& resp, std::exception_ptr transport_failure) {
-        if (transport_failure != nullptr) {
-          state->set_exception(std::move(transport_failure));
-          return;
-        }
-        detail::complete_response(*state, std::move(resp));
-      });
-
-  typename sig::args_tuple tup(g, std::forward<Args>(args)...);
-  serial::output_archive out;
-  out& tup;
-
-  parcel::parcel p;
-  p.source = id_;
-  p.dest = dest;
-  p.action = parcel::action_traits<Fn>::id;
-  p.response_token = token;
-  p.target = g;
-  p.payload = out.take();
-  send(std::move(p));
-  return lcos::detail::make_future_from_state(std::move(state));
+  return send_call<Fn>(action_parcel<Fn>(component_destination(g), g, g,
+                                         std::forward<Args>(args)...));
 }
 
 template <auto Fn, typename... Args>
 void locality::apply_component(agas::gid g, Args&&... args) {
-  using sig = detail::fn_sig<decltype(Fn)>;
-  PX_ASSERT_MSG(parcel::action_traits<Fn>::id != 0,
-                "action used before PX_REGISTER_ACTION");
-  typename sig::args_tuple tup(g, std::forward<Args>(args)...);
-  serial::output_archive out;
-  out& tup;
+  send(action_parcel<Fn>(component_destination(g), g, g,
+                         std::forward<Args>(args)...));
+}
 
-  parcel::parcel p;
-  p.source = id_;
-  p.dest = component_destination(g);
-  p.action = parcel::action_traits<Fn>::id;
-  p.target = g;
-  p.payload = out.take();
-  send(std::move(p));
+// Registers Fn under `name` (idempotent) and returns its action id. Every
+// locality of the process shares the one action registry.
+template <auto Fn>
+std::uint32_t register_action(std::string name) {
+  auto const id = parcel::action_registry::instance().add(
+      std::move(name), &detail::invoke_action<Fn>);
+  parcel::action_traits<Fn>::id = id;
+  return id;
 }
 
 }  // namespace px::dist
 
 // Registers a free function (unqualified name, visible in this TU) as a
 // remotely invocable action. Must appear at namespace scope.
-#define PX_REGISTER_ACTION(fn)                                               \
-  namespace {                                                                \
-  [[maybe_unused]] ::std::uint32_t const px_action_registered_##fn = [] {    \
-    auto const id = ::px::parcel::action_registry::instance().add(           \
-        #fn, &::px::dist::detail::invoke_action<&fn>);                       \
-    ::px::parcel::action_traits<&fn>::id = id;                               \
-    return id;                                                               \
-  }();                                                                       \
+#define PX_REGISTER_ACTION(fn)                                              \
+  namespace {                                                               \
+  [[maybe_unused]] ::std::uint32_t const px_action_registered_##fn =        \
+      ::px::dist::register_action<&fn>(#fn);                                \
   }

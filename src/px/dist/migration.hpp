@@ -35,6 +35,9 @@ agas::gid migration_arrive(locality& here, agas::gid g,
                            std::uint64_t epoch) {
   auto object = std::make_shared<T>(
       serial::from_bytes<T>(std::span<std::byte const>(bytes)));
+  // Host-bound state that cannot travel (a confirm hook) is re-created by
+  // the type's optional arrive(locality&).
+  if constexpr (requires { object->arrive(here); }) object->arrive(here);
   agas::gid const resident = g.with_locality(here.id());
   here.agas().bind_existing(resident, std::move(object), epoch);
   here.residence().update(resident, here.id(), epoch);
@@ -119,18 +122,11 @@ future<agas::gid> migrate(locality& from, agas::gid g, std::uint32_t dest) {
 // Registers the arrival action for a migratable type (unqualified type
 // name, namespace scope). PX_REGISTER_MIGRATABLE_AS takes an explicit
 // registration tag for types whose name is not an identifier (templates).
-#define PX_REGISTER_MIGRATABLE_AS(T, tag)                                     \
-  namespace {                                                                 \
-  [[maybe_unused]] ::std::uint32_t const px_migratable_registered_##tag =     \
-      [] {                                                                    \
-        auto const id = ::px::parcel::action_registry::instance().add(        \
-            "px.migrate." #tag,                                               \
-            &::px::dist::detail::invoke_action<                               \
-                &::px::dist::migration_arrive<T>>);                           \
-        ::px::parcel::action_traits<&::px::dist::migration_arrive<T>>::id =   \
-            id;                                                               \
-        return id;                                                            \
-      }();                                                                    \
+#define PX_REGISTER_MIGRATABLE_AS(T, tag)                                   \
+  namespace {                                                               \
+  [[maybe_unused]] ::std::uint32_t const px_migratable_registered_##tag =   \
+      ::px::dist::register_action<&::px::dist::migration_arrive<T>>(        \
+          "px.migrate." #tag);                                              \
   }
 
 #define PX_REGISTER_MIGRATABLE(T) PX_REGISTER_MIGRATABLE_AS(T, T)

@@ -244,13 +244,8 @@ class partitioned_vector {
 
 }  // namespace px::dist
 
-#define PX_DETAIL_REGISTER_PV_ACTION(T, fn)                                  \
-  {                                                                          \
-    auto const id = ::px::parcel::action_registry::instance().add(          \
-        "px.pv." #fn "." #T,                                                 \
-        &::px::dist::detail::invoke_action<&::px::dist::fn<T>>);             \
-    ::px::parcel::action_traits<&::px::dist::fn<T>>::id = id;                \
-  }
+#define PX_DETAIL_REGISTER_PV_ACTION(T, fn) \
+  ::px::dist::register_action<&::px::dist::fn<T>>("px.pv." #fn "." #T);
 
 #define PX_REGISTER_PARTITIONED_VECTOR(T)                                    \
   namespace {                                                                \
@@ -263,14 +258,9 @@ class partitioned_vector {
     PX_DETAIL_REGISTER_PV_ACTION(T, pv_block_sum)                            \
     PX_DETAIL_REGISTER_PV_ACTION(T, pv_destroy_block)                        \
     PX_DETAIL_REGISTER_PV_ACTION(T, pv_migrate_block)                        \
-    {                                                                        \
-      auto const id = ::px::parcel::action_registry::instance().add(         \
-          "px.migrate.pv_block." #T,                                         \
-          &::px::dist::detail::invoke_action<                                \
-              &::px::dist::migration_arrive<::px::dist::pv_block<T>>>);      \
-      ::px::parcel::action_traits<                                           \
-          &::px::dist::migration_arrive<::px::dist::pv_block<T>>>::id = id;  \
-    }                                                                        \
+    ::px::dist::register_action<                                             \
+        &::px::dist::migration_arrive<::px::dist::pv_block<T>>>(             \
+        "px.migrate.pv_block." #T);                                          \
     return true;                                                             \
   }();                                                                       \
   }

@@ -95,13 +95,7 @@ class remote_channel {
 
 #define PX_REGISTER_REMOTE_CHANNEL(T)                                        \
   namespace {                                                                \
-  [[maybe_unused]] ::std::uint32_t const px_remote_channel_##T = [] {        \
-    auto const id = ::px::parcel::action_registry::instance().add(           \
-        "px.remote_channel." #T,                                             \
-        &::px::dist::detail::invoke_action<                                  \
-            &::px::dist::remote_channel_put<T>>);                            \
-    ::px::parcel::action_traits<&::px::dist::remote_channel_put<T>>::id =    \
-        id;                                                                  \
-    return id;                                                               \
-  }();                                                                       \
+  [[maybe_unused]] ::std::uint32_t const px_remote_channel_##T =             \
+      ::px::dist::register_action<&::px::dist::remote_channel_put<T>>(       \
+          "px.remote_channel." #T);                                          \
   }

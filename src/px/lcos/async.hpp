@@ -5,10 +5,8 @@
 // for every target kind (runtime, scheduler, execution policy, ambient) —
 // funnel through the two functions in px::detail below and from there into
 // scheduler::spawn, the single instrumented choke point the counter
-// registry and tracer observe. The bare-scheduler `async_on`/`post_on`
-// overloads are [[deprecated]] forwarding shims kept for source
-// compatibility only; use the runtime- or policy-target forms (removal
-// note in docs/API.md "Deprecations").
+// registry and tracer observe. `async_on`/`post_on` target a runtime or
+// an execution policy.
 #pragma once
 
 #include <tuple>
@@ -70,17 +68,6 @@ auto async_on(execution::parallel_policy const& policy, F&& f,
                               std::forward<Args>(args)...);
 }
 
-// Compatibility shim: prefer the runtime/policy targets. Scheduled for
-// removal — see docs/API.md "Deprecations".
-template <typename F, typename... Args>
-[[deprecated(
-    "async_on(rt::scheduler&) is a compatibility shim; spawn on a "
-    "px::runtime or execution policy instead (docs/API.md)")]] auto
-async_on(rt::scheduler& sched, F&& f, Args&&... args) {
-  return detail::spawn_future(sched, std::forward<F>(f),
-                              std::forward<Args>(args)...);
-}
-
 // From within a task: spawn on the ambient scheduler.
 template <typename F, typename... Args>
 auto async(F&& f, Args&&... args) {
@@ -101,17 +88,6 @@ template <typename F, typename... Args>
 void post_on(execution::parallel_policy const& policy, F&& f,
              Args&&... args) {
   detail::spawn_detached(policy.select_scheduler(), std::forward<F>(f),
-                         std::forward<Args>(args)...);
-}
-
-// Compatibility shim: prefer the runtime/policy targets. Scheduled for
-// removal — see docs/API.md "Deprecations".
-template <typename F, typename... Args>
-[[deprecated(
-    "post_on(rt::scheduler&) is a compatibility shim; spawn on a "
-    "px::runtime or execution policy instead (docs/API.md)")]] void
-post_on(rt::scheduler& sched, F&& f, Args&&... args) {
-  detail::spawn_detached(sched, std::forward<F>(f),
                          std::forward<Args>(args)...);
 }
 

@@ -1,293 +1,13 @@
 #include "px/stencil/heat1d_distributed.hpp"
 
-#include <exception>
-#include <memory>
+#include <algorithm>
+#include <map>
 #include <numeric>
-#include <string>
 
-#include "px/parallel/algorithms.hpp"
-#include "px/resilience/checkpoint.hpp"
-#include "px/stencil/heat1d.hpp"
-#include "px/stencil/step_mailbox.hpp"
+#include "px/dist/collectives.hpp"
 #include "px/support/timer.hpp"
 
 namespace px::stencil {
-namespace {
-
-// Per-partition solver state, reachable by halo parcels through a symbolic
-// AGAS name. Keyed by (partition, attempt): a rollback-replay round runs
-// under a fresh attempt number, so halos still in flight from the aborted
-// attempt address dead names (or poisoned mailboxes) and can never leak
-// into the replay.
-struct heat_block_state {
-  step_mailbox<double> from_left;
-  step_mailbox<double> from_right;
-  std::uint64_t hook_id = 0;  // confirm hook that poisons the mailboxes
-};
-
-std::string state_name(std::uint64_t partition, std::uint64_t attempt) {
-  return "px.stencil.heat1d.state." + std::to_string(partition) + "." +
-         std::to_string(attempt);
-}
-
-std::shared_ptr<heat_block_state> resolve_state(px::dist::locality& here,
-                                                std::uint64_t partition,
-                                                std::uint64_t attempt) {
-  // Only solve tasks resolve unconditionally: the driver synchronizes on
-  // prepare before starting solves, so the name must exist.
-  auto g = here.agas().resolve_name(state_name(partition, attempt));
-  PX_ASSERT_MSG(g.valid(), "heat1d state not prepared on this locality");
-  auto state = here.agas().resolve<heat_block_state>(g);
-  PX_ASSERT(state != nullptr);
-  return state;
-}
-
-// The locality's checkpoint store, bound lazily (registration-race safe:
-// buddy puts and local puts can arrive concurrently).
-constexpr char const ckpt_name[] = "px.stencil.heat1d.ckpt";
-
-std::shared_ptr<resilience::checkpoint_store> ckpt_store(
-    px::dist::locality& here) {
-  auto g = here.agas().resolve_name(ckpt_name);
-  if (!g.valid()) {
-    auto store = std::make_shared<resilience::checkpoint_store>();
-    auto bound = here.agas().bind(store);
-    if (here.agas().register_name(ckpt_name, bound)) return store;
-    here.agas().unbind(bound);
-    g = here.agas().resolve_name(ckpt_name);
-  }
-  auto store = here.agas().resolve<resilience::checkpoint_store>(g);
-  PX_ASSERT(store != nullptr);
-  return store;
-}
-
-// ---- actions ------------------------------------------------------------
-
-int heat_prepare(px::dist::locality& here, std::uint64_t partition,
-                 std::uint64_t attempt) {
-  auto state = std::make_shared<heat_block_state>();
-  auto g = here.agas().bind(state);
-  here.agas().register_name(state_name(partition, attempt), g);
-  // Any confirmed locality death aborts the whole attempt: the victim's
-  // solve task must stop blocking on halos that cannot arrive, and the
-  // survivors' solve tasks must abort (their fields are about to be rolled
-  // back) instead of waiting on the victim's halos. Poisoning this
-  // partition's mailboxes covers both — whichever side this state is on.
-  state->hook_id = here.domain().add_confirm_hook(
-      [weak = std::weak_ptr<heat_block_state>(state)](std::uint32_t victim) {
-        if (auto s = weak.lock()) {
-          auto reason =
-              std::make_exception_ptr(px::dist::locality_down(victim));
-          s->from_left.poison(reason);
-          s->from_right.poison(reason);
-        }
-      });
-  return static_cast<int>(here.id());
-}
-
-void heat_halo_put(px::dist::locality& here, std::uint64_t partition,
-                   std::uint64_t attempt, std::uint64_t step,
-                   std::uint8_t from_side_left, double value) {
-  // A halo for an attempt that no longer exists (aborted and torn down, or
-  // not yet prepared here after a remap race) is stale by definition:
-  // dropping it is the correct recovery-protocol behaviour, not data loss.
-  auto g = here.agas().resolve_name(state_name(partition, attempt));
-  if (!g.valid()) return;
-  auto state = here.agas().resolve<heat_block_state>(g);
-  if (state == nullptr) return;
-  // from_side_left == 1: the sender is our left neighbour.
-  if (from_side_left != 0)
-    state->from_left.put(step, value);
-  else
-    state->from_right.put(step, value);
-}
-
-int heat_ckpt_put(px::dist::locality& here, std::uint64_t partition,
-                  std::uint64_t step, std::vector<double> slab) {
-  ckpt_store(here)->put(partition, step, serial::to_bytes(slab));
-  return 0;
-}
-
-std::vector<double> heat_ckpt_fetch(px::dist::locality& here,
-                                    std::uint64_t partition,
-                                    std::uint64_t step) {
-  auto blob = ckpt_store(here)->get(partition, step);
-  if (!blob.has_value())
-    throw std::runtime_error("heat1d: no checkpoint for partition " +
-                             std::to_string(partition) + " at step " +
-                             std::to_string(step));
-  counters::builtin().resilience_restores.add();
-  return serial::from_bytes<std::vector<double>>(*blob);
-}
-
-// Flattened [object, version, object, version, ...] of this locality's
-// store — the recovery driver intersects these across survivors to find
-// the newest step every partition can roll back to.
-std::vector<std::uint64_t> heat_ckpt_report(px::dist::locality& here) {
-  auto const entries = ckpt_store(here)->entries();
-  std::vector<std::uint64_t> out;
-  out.reserve(entries.size() * 2);
-  for (auto const& e : entries) {
-    out.push_back(e.object);
-    out.push_back(e.version);
-  }
-  return out;
-}
-
-int heat_teardown(px::dist::locality& here, std::uint64_t partitions,
-                  std::uint64_t attempts) {
-  for (std::uint64_t p = 0; p < partitions; ++p) {
-    for (std::uint64_t a = 1; a <= attempts; ++a) {
-      auto const name = state_name(p, a);
-      auto g = here.agas().resolve_name(name);
-      if (!g.valid()) continue;
-      if (auto state = here.agas().resolve<heat_block_state>(g))
-        here.domain().remove_confirm_hook(state->hook_id);
-      here.agas().unbind(g);
-      here.agas().unregister_name(name);
-    }
-  }
-  ckpt_store(here)->clear();
-  return 0;
-}
-
-struct rblock_args {
-  std::uint64_t partition = 0;
-  std::uint64_t attempt = 1;
-  std::uint64_t t0 = 0;           // first step to compute (rollback point)
-  std::uint64_t steps_total = 0;  // exclusive upper step bound
-  std::uint64_t checkpoint_interval = 0;
-  double k = 0.0;
-  std::vector<std::uint32_t> part_loc;  // partition -> hosting locality
-  std::vector<double> initial;          // this partition's slab at step t0
-
-  template <typename Archive>
-  void serialize(Archive& ar) {
-    ar& partition& attempt& t0& steps_total& checkpoint_interval& k&
-        part_loc& initial;
-  }
-};
-
-std::pair<std::size_t, std::size_t> block_bounds(std::size_t nx,
-                                                 std::size_t parts,
-                                                 std::size_t index) {
-  std::size_t const base = nx / parts;
-  std::size_t const extra = nx % parts;
-  std::size_t const lo = index * base + (index < extra ? index : extra);
-  return {lo, lo + base + (index < extra ? 1 : 0)};
-}
-
-std::vector<double> heat_solve_block(px::dist::locality& here,
-                                     rblock_args args) {
-  auto state = resolve_state(here, args.partition, args.attempt);
-  std::size_t const nparts = args.part_loc.size();
-  std::uint64_t const p = args.partition;
-  bool const has_left = p > 0;
-  bool const has_right = p + 1 < nparts;
-  std::size_t const n = args.initial.size();
-  PX_ASSERT(n >= 2);
-  double const k = args.k;
-  auto& faults = here.domain().fabric().faults();
-
-  using buffer = std::vector<double, aligned_allocator<double, 64>>;
-  buffer u[2];
-  u[0].assign(args.initial.begin(), args.initial.end());
-  u[1].assign(n, 0.0);
-
-  auto policy = execution::par;
-
-  for (std::uint64_t t = args.t0; t < args.steps_total; ++t) {
-    // Scheduled fail-stop triggers are keyed on application progress.
-    faults.advance_step(t);
-
-    buffer const& curr = u[(t - args.t0) % 2];
-    buffer& next = u[(t - args.t0 + 1) % 2];
-
-    // 0. Checkpoint the pre-step field: (p, t) restores to "about to
-    //    compute step t". Saved locally and into the buddy locality (the
-    //    host of the cyclically next partition) so one locality's death
-    //    loses no partition. The buddy write is synchronous — a checkpoint
-    //    that might not have landed cannot be counted on — but a buddy
-    //    that died mid-write is survivable: recovery just rolls back to an
-    //    older step that is fully covered.
-    if (args.checkpoint_interval != 0 && t > args.t0 &&
-        t % args.checkpoint_interval == 0) {
-      // Split-brain fence: a fenced (minority-partition) host must not
-      // commit checkpoints — the majority may be rolling this partition
-      // back or rehoming it, and a minority-side checkpoint could later be
-      // restored over the agreed state. Skipping is safe (recovery rolls
-      // back to an older fully-covered step) and the refusal is counted so
-      // tests can pin the gate.
-      if (here.domain().is_fenced(here.id())) {
-        (void)here.domain().membership().refusal(here.id());
-      } else {
-        std::vector<double> slab(curr.begin(), curr.end());
-        ckpt_store(here)->put(p, t, serial::to_bytes(slab));
-        if (nparts > 1) {
-          std::uint32_t const buddy = args.part_loc[(p + 1) % nparts];
-          if (buddy != here.id()) {
-            try {
-              here.call<&heat_ckpt_put>(buddy, p, t, std::move(slab)).get();
-            } catch (...) {
-              // Buddy unreachable (dying or dead); the local copy stands.
-            }
-          }
-        }
-      }
-    }
-
-    // 1. Ship edges first so the transfer overlaps the interior update.
-    //    Neighbours are partitions, routed to wherever they are hosted.
-    if (has_left)
-      here.apply<&heat_halo_put>(args.part_loc[p - 1], p - 1, args.attempt,
-                                 t, std::uint8_t{0}, curr.front());
-    if (has_right)
-      here.apply<&heat_halo_put>(args.part_loc[p + 1], p + 1, args.attempt,
-                                 t, std::uint8_t{1}, curr.back());
-    // Step boundary: push the halo parcels onto the wire before the
-    // interior compute, so neighbours receive them while we work instead
-    // of after a coalescing deadline.
-    here.domain().flush_coalescing();
-
-    // 2. Interior: cells [1, n-1) need no remote data.
-    std::size_t const parts = std::min<std::size_t>(
-        here.sched().num_workers() * 4, std::max<std::size_t>(n / 512, 1));
-    parallel::for_loop(policy, 0, parts, [&](std::size_t i) {
-      auto const [lo, hi] = block_bounds(n - 2, parts, i);
-      for (std::size_t x = 1 + lo; x < 1 + hi; ++x)
-        next[x] = heat_update(curr[x - 1], curr[x], curr[x + 1], k);
-    });
-
-    // 3. Edges: remote halo (suspends until the parcel lands — or throws
-    //    locality_down when a confirmed failure poisoned the mailbox) or
-    //    global Dirichlet boundary.
-    if (has_left) {
-      double const value = state->from_left.get(t);
-      next[0] = heat_update(value, curr[0], curr[1], k);
-    } else {
-      next[0] = curr[0];
-    }
-    if (has_right) {
-      double const value = state->from_right.get(t);
-      next[n - 1] = heat_update(curr[n - 2], curr[n - 1], value, k);
-    } else {
-      next[n - 1] = curr[n - 1];
-    }
-  }
-
-  buffer const& fin = u[(args.steps_total - args.t0) % 2];
-  return {fin.begin(), fin.end()};
-}
-
-}  // namespace
-
-PX_REGISTER_ACTION(heat_prepare)
-PX_REGISTER_ACTION(heat_halo_put)
-PX_REGISTER_ACTION(heat_ckpt_put)
-PX_REGISTER_ACTION(heat_ckpt_fetch)
-PX_REGISTER_ACTION(heat_ckpt_report)
-PX_REGISTER_ACTION(heat_solve_block)
-PX_REGISTER_ACTION(heat_teardown)
 
 dist_heat_result run_distributed_heat1d(px::dist::distributed_domain& dom,
                                         std::vector<double> const& initial,
@@ -308,73 +28,30 @@ dist_heat_result run_distributed_heat1d(px::dist::distributed_domain& dom,
     std::vector<std::uint32_t> part_loc(nparts);
     std::iota(part_loc.begin(), part_loc.end(), std::uint32_t{0});
 
-    auto initial_slab = [&](std::size_t p) {
-      auto const [lo, hi] = block_bounds(cfg.nx_total, nparts, p);
-      return std::vector<double>(
-          initial.begin() + static_cast<std::ptrdiff_t>(lo),
-          initial.begin() + static_cast<std::ptrdiff_t>(hi));
-    };
-
-    std::vector<std::vector<double>> slabs(nparts);
-    for (std::size_t p = 0; p < nparts; ++p) slabs[p] = initial_slab(p);
-    std::uint64_t attempt = 1;
+    auto slabs = px::dist::split_blocks(initial, nparts);
     std::uint64_t t0 = 0;
 
     for (;;) {
+      // Each attempt runs on fresh partitions: halos still in flight from
+      // an aborted attempt reach a retired GID or a poisoned mailbox and
+      // can never leak into the replay.
+      partition_chain<heat1d_kernel> chain(loc0);
       try {
-        // Phase 1: prepare this attempt's halo endpoints everywhere.
-        {
-          std::vector<future<int>> ready;
-          ready.reserve(nparts);
-          for (std::size_t p = 0; p < nparts; ++p)
-            ready.push_back(loc0.call<&heat_prepare>(part_loc[p], p,
-                                                     attempt));
-          for (auto& f : ready) f.get();
-        }
-
-        // Phase 2: scatter slabs and solve [t0, steps).
-        std::vector<future<std::vector<double>>> blocks;
-        blocks.reserve(nparts);
-        for (std::size_t p = 0; p < nparts; ++p) {
-          rblock_args args;
-          args.partition = p;
-          args.attempt = attempt;
-          args.t0 = t0;
-          args.steps_total = cfg.steps;
-          args.checkpoint_interval = cfg.checkpoint_interval;
-          args.k = cfg.k;
-          args.part_loc = part_loc;
-          args.initial = slabs[p];
-          blocks.push_back(loc0.call<&heat_solve_block>(part_loc[p],
-                                                        std::move(args)));
-        }
-
-        // Drain every solve future even after the first failure: a
-        // survivor's aborting task may exit (and respond) late, and the
-        // replay must not race it.
-        std::vector<std::vector<double>> out(nparts);
-        std::exception_ptr failure;
-        for (std::size_t p = 0; p < nparts; ++p) {
-          try {
-            out[p] = blocks[p].get();
-          } catch (...) {
-            if (failure == nullptr) failure = std::current_exception();
-          }
-        }
-        if (failure != nullptr) std::rethrow_exception(failure);
-
-        res.values.reserve(cfg.nx_total);
-        for (auto const& block : out)
-          res.values.insert(res.values.end(), block.begin(), block.end());
+        // The buddy is the host of the cyclically next partition.
+        std::vector<checkpoint_plan> plans(nparts);
+        for (std::size_t p = 0; p < nparts; ++p)
+          plans[p] = {p, cfg.checkpoint_interval,
+                      part_loc[(p + 1) % nparts]};
+        chain.make(part_loc, {cfg.k, 0}, std::move(slabs), plans);
+        chain.run(t0, cfg.steps);
+        res.values = chain.fetch();
         break;
       } catch (...) {
-        auto const dead = dom.confirmed_dead();
-        if (dead.empty()) throw;  // not a locality failure — propagate
-        for (std::uint32_t d : dead)
-          if (d == 0) throw;  // the console died; nobody left to recover
+        if (dom.confirmed_dead().empty()) throw;  // not a locality failure
+        if (dom.is_confirmed_dead(0)) throw;  // the console died
         if (res.recoveries >= cfg.max_recoveries) throw;
         res.recoveries += 1;
-        attempt += 1;
+        chain.destroy();
 
         // Remap partitions off the dead localities (round-robin to the
         // next survivor; locality 0 is alive, so this terminates).
@@ -389,72 +66,43 @@ dist_heat_result run_distributed_heat1d(px::dist::distributed_domain& dom,
         // *surviving* store (the dead locality's store is lost with it).
         // Step 0 always qualifies: the driver still holds the initial
         // condition.
-        std::vector<std::vector<std::uint32_t>> holders_of(nparts);
-        std::vector<std::vector<std::uint64_t>> steps_of(nparts);
+        std::vector<std::map<std::uint64_t, std::uint32_t>> holder(nparts);
         for (std::uint32_t l = 0; l < nloc; ++l) {
           if (dom.is_confirmed_dead(l)) continue;
-          auto const report = loc0.call<&heat_ckpt_report>(l).get();
-          for (std::size_t i = 0; i + 1 < report.size(); i += 2) {
-            std::uint64_t const p = report[i];
-            if (p >= nparts) continue;
-            holders_of[p].push_back(l);
-            steps_of[p].push_back(report[i + 1]);
-          }
+          auto const report = loc0.call<&partition_ckpt_report>(l).get();
+          for (auto const& [p, step] : report)
+            if (p < nparts) holder[p].emplace(step, l);
         }
         std::uint64_t C = 0;
         if (cfg.checkpoint_interval != 0) {
-          for (std::uint64_t cand =
-                   (cfg.steps / cfg.checkpoint_interval) *
-                   cfg.checkpoint_interval;
-               cand != 0; cand -= cfg.checkpoint_interval) {
-            bool all = true;
-            for (std::size_t p = 0; p < nparts && all; ++p) {
-              bool found = false;
-              for (std::uint64_t s : steps_of[p])
-                if (s == cand) found = true;
-              all = found;
-            }
-            if (all) {
+          for (std::uint64_t cand = cfg.steps - cfg.steps %
+                                                    cfg.checkpoint_interval;
+               cand != 0 && C == 0; cand -= cfg.checkpoint_interval)
+            if (std::all_of(holder.begin(), holder.end(),
+                            [&](auto const& h) { return h.count(cand); }))
               C = cand;
-              break;
-            }
-          }
         }
 
         // Restore every partition's slab at step C and replay from there.
         // Rolling *all* partitions back (not just the lost ones) keeps the
         // stencil globally consistent: step C's halo exchange happens
         // afresh for everyone.
-        for (std::size_t p = 0; p < nparts; ++p) {
-          if (C == 0) {
-            slabs[p] = initial_slab(p);
-            continue;
-          }
-          std::uint32_t holder = 0;
-          bool found = false;
-          for (std::size_t i = 0; i < steps_of[p].size(); ++i) {
-            if (steps_of[p][i] == C) {
-              holder = holders_of[p][i];
-              found = true;
-              break;
-            }
-          }
-          PX_ASSERT_MSG(found, "checkpoint cover computed but not found");
-          slabs[p] = loc0.call<&heat_ckpt_fetch>(holder, p, C).get();
-        }
+        slabs = px::dist::split_blocks(initial, nparts);
+        if (C != 0)
+          for (std::size_t p = 0; p < nparts; ++p)
+            slabs[p] =
+                loc0.call<&partition_ckpt_fetch>(holder[p].at(C), p, C).get();
         t0 = C;
       }
     }
     res.seconds = timer.elapsed();
 
-    // Phase 3: teardown every attempt's endpoints on the survivors.
-    {
-      std::vector<future<int>> done;
-      done.reserve(nloc);
-      for (std::uint32_t l = 0; l < nloc; ++l) {
-        if (dom.is_confirmed_dead(l)) continue;
-        done.push_back(loc0.call<&heat_teardown>(l, nparts, attempt));
-      }
+    // Drop this solve's checkpoints on the survivors.
+    if (cfg.checkpoint_interval != 0) {
+      std::vector<future<void>> done;
+      for (std::uint32_t l = 0; l < nloc; ++l)
+        if (!dom.is_confirmed_dead(l))
+          done.push_back(loc0.call<&partition_ckpt_clear>(l));
       for (auto& f : done) f.get();
     }
     return res;

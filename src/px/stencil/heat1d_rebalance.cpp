@@ -1,167 +1,11 @@
 #include "px/stencil/heat1d_rebalance.hpp"
 
 #include <cmath>
-#include <memory>
-#include <stdexcept>
-#include <utility>
 
-#include "px/dist/migration.hpp"
-#include "px/stencil/heat1d.hpp"
-#include "px/stencil/step_mailbox.hpp"
+#include "px/stencil/heat1d_distributed.hpp"
 #include "px/support/timer.hpp"
 
 namespace px::stencil {
-namespace {
-
-// Mailboxes live behind a shared_ptr so the component stays movable (the
-// migration layer materializes arrivals by move) and so a halo-put task
-// can hold them alive independently of the registry binding.
-struct halo_mailboxes {
-  step_mailbox<double> from_left;
-  step_mailbox<double> from_right;
-};
-
-// The migratable unit: one zipf-sized slab plus its halo endpoints. All
-// addressing is by GID — the solver never mentions localities, so the
-// rebalancer can move these freely between rounds.
-struct heat_partition {
-  std::uint64_t partition = 0;
-  std::uint64_t nparts = 0;
-  double k = 0.0;
-  std::uint32_t compute_cost = 0;
-  std::vector<double> slab;
-  std::shared_ptr<halo_mailboxes> mail = std::make_shared<halo_mailboxes>();
-
-  template <typename Archive>
-  void serialize(Archive& ar) {
-    ar& partition& nparts& k& compute_cost& slab;
-    // Halos buffered but not yet consumed travel with the object: the
-    // round barrier guarantees the mailboxes are empty between rounds,
-    // but a put racing the pin (parked, re-delivered, landed just before
-    // departure) must not be dropped on the floor.
-    if constexpr (Archive::is_saving) {
-      auto left = mail->from_left.drain_pending();
-      auto right = mail->from_right.drain_pending();
-      ar& left& right;
-    } else {
-      std::vector<std::pair<std::uint64_t, double>> left, right;
-      ar& left& right;
-      mail = std::make_shared<halo_mailboxes>();
-      for (auto& [step, value] : left) mail->from_left.put(step, value);
-      for (auto& [step, value] : right) mail->from_right.put(step, value);
-    }
-  }
-};
-
-// Optimization sink for the synthetic compute load.
-volatile double heat_burn_sink = 0.0;
-
-// ---- actions (GID-addressed; see locality::call_component) ---------------
-
-agas::gid heat_make_partition(px::dist::locality& here,
-                              std::uint64_t partition, std::uint64_t nparts,
-                              double k, std::uint32_t compute_cost,
-                              std::vector<double> slab) {
-  auto part = std::make_shared<heat_partition>();
-  part->partition = partition;
-  part->nparts = nparts;
-  part->k = k;
-  part->compute_cost = compute_cost;
-  part->slab = std::move(slab);
-  return here.agas().bind(std::move(part));
-}
-
-void heat_halo_put_g(px::dist::locality& here, agas::gid g,
-                     std::uint64_t step, std::uint8_t from_side_left,
-                     double value) {
-  auto part = here.agas().resolve<heat_partition>(g);
-  if (part == nullptr) return;  // torn down: a stale halo, drop it
-  if (from_side_left != 0)
-    part->mail->from_left.put(step, value);
-  else
-    part->mail->from_right.put(step, value);
-}
-
-int heat_round(px::dist::locality& here, agas::gid g, std::uint64_t t0,
-               std::uint64_t t1, agas::gid left, agas::gid right) {
-  auto self = here.agas().resolve<heat_partition>(g);
-  if (self == nullptr)
-    throw std::runtime_error("heat_round: partition not resident");
-  std::vector<double>& u = self->slab;
-  std::size_t const n = u.size();
-  double const k = self->k;
-  std::vector<double> next(n, 0.0);
-
-  for (std::uint64_t t = t0; t < t1; ++t) {
-    // Ship edges first so the transfer overlaps the interior update. The
-    // neighbour GIDs route through the residence cache / tombstone chain,
-    // so this is correct even while a neighbour is mid-migration (the
-    // parcel parks at the pin and is re-delivered).
-    if (left.valid())
-      here.apply_component<&heat_halo_put_g>(left, t, std::uint8_t{0},
-                                             u.front());
-    if (right.valid())
-      here.apply_component<&heat_halo_put_g>(right, t, std::uint8_t{1},
-                                             u.back());
-    here.domain().flush_coalescing();
-
-    for (std::size_t x = 1; x + 1 < n; ++x)
-      next[x] = heat_update(u[x - 1], u[x], u[x + 1], k);
-
-    if (self->compute_cost != 0) {
-      // Synthetic per-cell work, discarded: scales the round's compute
-      // with slab size so load imbalance is real, without touching the
-      // field (bitwise determinism is part of the contract).
-      double burn = 0.0;
-      for (std::uint32_t r = 0; r < self->compute_cost; ++r)
-        for (std::size_t x = 1; x + 1 < n; ++x)
-          burn += heat_update(u[x - 1], u[x], u[x + 1], k * 0.5);
-      heat_burn_sink = burn;
-    }
-
-    if (left.valid())
-      next[0] = heat_update(self->mail->from_left.get(t), u[0], u[1], k);
-    else
-      next[0] = u[0];  // global Dirichlet boundary
-    if (right.valid())
-      next[n - 1] =
-          heat_update(u[n - 2], u[n - 1], self->mail->from_right.get(t), k);
-    else
-      next[n - 1] = u[n - 1];
-
-    u.swap(next);
-  }
-  return static_cast<int>(here.id());
-}
-
-std::vector<double> heat_fetch_slab(px::dist::locality& here, agas::gid g) {
-  auto part = here.agas().resolve<heat_partition>(g);
-  if (part == nullptr)
-    throw std::runtime_error("heat_fetch_slab: partition not resident");
-  return part->slab;
-}
-
-int heat_destroy_partition(px::dist::locality& here, agas::gid g) {
-  here.agas().unbind(g);
-  return 0;
-}
-
-// Runs at the partition's current home: the departure half of migrate()
-// must execute where the object is pinned.
-agas::gid heat_part_migrate(px::dist::locality& here, agas::gid g,
-                            std::uint32_t dest) {
-  return px::dist::migrate<heat_partition>(here, g, dest).get();
-}
-
-}  // namespace
-
-PX_REGISTER_ACTION(heat_make_partition)
-PX_REGISTER_ACTION(heat_halo_put_g)
-PX_REGISTER_ACTION(heat_round)
-PX_REGISTER_ACTION(heat_fetch_slab)
-PX_REGISTER_ACTION(heat_destroy_partition)
-PX_REGISTER_ACTION(heat_part_migrate)
-PX_REGISTER_MIGRATABLE(heat_partition)
 
 std::vector<std::size_t> zipf_partition_sizes(std::size_t nx_total,
                                               std::size_t parts, double s) {
@@ -210,35 +54,27 @@ skewed_heat_result run_skewed_heat1d(px::dist::distributed_domain& dom,
     // Create the partitions, round-robin over localities. Combined with
     // zipf sizes this concentrates the heaviest slabs on the low
     // localities — the imbalance the rebalancer exists to fix.
-    std::vector<agas::gid> gids(nparts);
     std::vector<std::uint32_t> homes(nparts);
-    {
-      std::size_t offset = 0;
-      std::vector<future<agas::gid>> made;
-      made.reserve(nparts);
-      for (std::size_t p = 0; p < nparts; ++p) {
-        homes[p] = static_cast<std::uint32_t>(p % nloc);
-        std::vector<double> slab(
-            initial.begin() + static_cast<std::ptrdiff_t>(offset),
-            initial.begin() + static_cast<std::ptrdiff_t>(offset + sizes[p]));
-        offset += sizes[p];
-        made.push_back(loc0.call<&heat_make_partition>(
-            homes[p], static_cast<std::uint64_t>(p),
-            static_cast<std::uint64_t>(nparts), cfg.k, cfg.compute_cost,
-            std::move(slab)));
-      }
-      for (std::size_t p = 0; p < nparts; ++p) gids[p] = made[p].get();
+    std::vector<std::vector<double>> slabs(nparts);
+    std::size_t offset = 0;
+    for (std::size_t p = 0; p < nparts; ++p) {
+      homes[p] = static_cast<std::uint32_t>(p % nloc);
+      slabs[p].assign(
+          initial.begin() + static_cast<std::ptrdiff_t>(offset),
+          initial.begin() + static_cast<std::ptrdiff_t>(offset + sizes[p]));
+      offset += sizes[p];
     }
+    partition_chain<heat1d_kernel> chain(loc0);
+    chain.make(homes, {cfg.k, cfg.compute_cost}, std::move(slabs));
 
     agas::rebalance_config rcfg = cfg.rebalance_cfg;
     rcfg.enabled = rcfg.enabled && cfg.rebalance;
-    agas::rebalancer reb(dom, rcfg,
-                         [&loc0](agas::gid g, std::uint32_t from,
-                                 std::uint32_t to) {
-                           return loc0.call<&heat_part_migrate>(from, g, to);
-                         });
+    agas::rebalancer reb(
+        dom, rcfg, [&loc0](agas::gid g, std::uint32_t from, std::uint32_t to) {
+          return loc0.call<&partition_migrate<heat1d_kernel>>(from, g, to);
+        });
     for (std::size_t p = 0; p < nparts; ++p)
-      reb.add_partition(p, gids[p], homes[p],
+      reb.add_partition(p, chain.gids()[p], homes[p],
                         static_cast<double>(sizes[p]));
     res.imbalance_initial = agas::load_imbalance(reb.loads());
 
@@ -250,16 +86,7 @@ skewed_heat_result run_skewed_heat1d(px::dist::distributed_domain& dom,
       std::uint64_t const t1 =
           std::min<std::uint64_t>(cfg.steps, t0 + cfg.steps_per_round);
       high_resolution_timer round_timer;
-      std::vector<future<int>> rounds;
-      rounds.reserve(nparts);
-      for (std::size_t p = 0; p < nparts; ++p) {
-        agas::gid const left = p > 0 ? gids[p - 1] : agas::invalid_gid;
-        agas::gid const right =
-            p + 1 < nparts ? gids[p + 1] : agas::invalid_gid;
-        rounds.push_back(
-            loc0.call_component<&heat_round>(gids[p], t0, t1, left, right));
-      }
-      for (auto& f : rounds) f.get();
+      chain.run(t0, t1);
       res.round_seconds.push_back(round_timer.elapsed());
       res.rounds += 1;
       if (t1 < cfg.steps) reb.step();
@@ -267,14 +94,7 @@ skewed_heat_result run_skewed_heat1d(px::dist::distributed_domain& dom,
     res.migrations = reb.total_moves();
     res.imbalance_final = agas::load_imbalance(reb.loads());
     res.seconds = timer.elapsed();
-
-    res.values.reserve(cfg.nx_total);
-    for (std::size_t p = 0; p < nparts; ++p) {
-      auto slab = loc0.call_component<&heat_fetch_slab>(gids[p]).get();
-      res.values.insert(res.values.end(), slab.begin(), slab.end());
-    }
-    for (std::size_t p = 0; p < nparts; ++p)
-      loc0.call_component<&heat_destroy_partition>(gids[p]).get();
+    res.values = chain.fetch();
     return res;
   });
 }

@@ -1,17 +1,17 @@
 // px/stencil/heat1d_rebalance.hpp
 // Zipf-skewed 1D heat solver over migratable partition components.
 //
-// Unlike heat1d_distributed (partition state pinned to its home locality,
-// failures handled by checkpoint/replay), this solver's partitions are AGAS
-// components addressed purely by GID: every halo and every round kick-off
-// goes through locality::call_component / apply_component, so a partition
-// can migrate between rounds and nothing but the AGAS layer (residence
-// cache, forwarding tombstones) has to notice.
+// The partitions are components of the partition engine
+// (px/stencil/partition.hpp) running the same heat1d_kernel as
+// run_distributed_heat1d. Every halo and every round kick-off is addressed
+// by GID, so the px::agas::rebalancer can migrate a partition between
+// rounds and nothing but the AGAS layer (residence cache, forwarding
+// tombstones) has to notice.
 //
 // Partition sizes follow a zipf distribution (|slab_p| ∝ 1/(p+1)^s) and
 // initial placement is round-robin, which deliberately overloads the low
-// localities — the px::agas::rebalancer invoked at every round boundary
-// then migrates hot partitions toward idle localities. The computation is
+// localities — the rebalancer invoked at every round boundary then
+// migrates hot partitions toward idle localities. The computation is
 // placement-independent: the final field is bitwise identical whether the
 // rebalancer moved everything or nothing (the torture suite pins this).
 #pragma once

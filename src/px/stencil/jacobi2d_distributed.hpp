@@ -1,10 +1,11 @@
 // px/stencil/jacobi2d_distributed.hpp
 // Distributed 2D Jacobi (extension beyond the paper, which runs the 2D
 // kernel shared-memory only): the grid is row-block decomposed over the
-// localities of a virtual cluster; each step exchanges one halo *row* with
+// localities of a virtual cluster on the 1D solver's partition engine
+// (px/stencil/partition.hpp); each step exchanges one halo *row* with
 // each neighbour by parcel, overlapping the transfer with the block's
-// interior sweep — the same latency-hiding structure as the 1D solver but
-// with O(nx)-byte messages, exercising the fabric's bandwidth term.
+// interior sweep, with O(nx)-byte messages exercising the fabric's
+// bandwidth term.
 #pragma once
 
 #include <cstddef>
@@ -20,8 +21,8 @@ struct dist_jacobi_config {
   std::size_t steps = 50;
   double boundary = 1.0;       // Dirichlet value on all four edges
   // Run the block kernels with explicit VNS packs (native width) instead
-  // of the compiler-auto-vectorized scalar path. Falls back to scalar when
-  // nx is not a lane multiple.
+  // of the compiler-auto-vectorized scalar path. Any nx: a row that is not
+  // a lane multiple runs on padded VNS segments.
   bool use_simd = false;
 };
 

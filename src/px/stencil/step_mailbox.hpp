@@ -74,16 +74,6 @@ class step_mailbox {
     for (auto& v : victims) v->set_exception(reason);
   }
 
-  [[nodiscard]] bool poisoned() const {
-    std::lock_guard<px::spinlock> guard(lock_);
-    return poison_ != nullptr;
-  }
-
-  [[nodiscard]] std::size_t pending_values() const {
-    std::lock_guard<px::spinlock> guard(lock_);
-    return values_.size();
-  }
-
   // Removes and returns every buffered (not yet consumed) value, sorted by
   // key for determinism. Migration support: a component being serialized
   // drains its mailboxes into the archive and re-puts the values on the

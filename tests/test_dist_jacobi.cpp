@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
 #include "px/px.hpp"
 #include "px/stencil/stencil.hpp"
@@ -127,6 +128,55 @@ TEST(DistJacobi, CustomBoundaryValue) {
   auto result = run_distributed_jacobi2d(dom, initial, cfg);
   // Long runs converge to the boundary value.
   for (double v : result.values) EXPECT_NEAR(v, -2.5, 1e-3);
+}
+
+TEST(DistJacobi, HalosFlushAtStepBoundaryOnCoalescingDomain) {
+  // Every step ships its halo rows and flushes the coalescing buffers, so
+  // a halo never waits out the buffer's deadline.
+  auto c = dcfg(3);
+  c.coalescing.enabled = true;
+  px::dist::distributed_domain dom(c);
+  dist_jacobi_config cfg;
+  cfg.nx = 24;
+  cfg.ny_total = 30;
+  cfg.steps = 40;
+  auto initial = wavy_interior(cfg.nx, cfg.ny_total);
+  auto const before = px::counters::builtin().net_flushes_explicit.load();
+  auto result = run_distributed_jacobi2d(dom, initial, cfg);
+  auto const flushes =
+      px::counters::builtin().net_flushes_explicit.load() - before;
+  auto ref = reference_jacobi2d_interior(initial, cfg.nx, cfg.ny_total,
+                                         cfg.steps, cfg.boundary);
+  ASSERT_EQ(result.values.size(), ref.size());
+  EXPECT_LT(max_abs_diff(result.values, ref), 1e-13);
+  EXPECT_GE(flushes, cfg.steps);
+}
+
+TEST(DistJacobi, ConcurrentSolvesOnOneDomainStayApart) {
+  // Two solves share the localities but not their partitions: each must
+  // match its own reference.
+  px::dist::distributed_domain dom(dcfg(3));
+  dist_jacobi_config cfg;
+  cfg.nx = 20;
+  cfg.ny_total = 27;
+  cfg.steps = 30;
+  auto const a = wavy_interior(cfg.nx, cfg.ny_total);
+  std::vector<double> b(a.size());
+  for (std::size_t i = 0; i < b.size(); ++i) b[i] = 1.0 - 2.0 * a[i];
+
+  dist_jacobi_result ra, rb;
+  std::thread other([&] { rb = run_distributed_jacobi2d(dom, b, cfg); });
+  ra = run_distributed_jacobi2d(dom, a, cfg);
+  other.join();
+
+  auto const ref_a = reference_jacobi2d_interior(a, cfg.nx, cfg.ny_total,
+                                                 cfg.steps, cfg.boundary);
+  auto const ref_b = reference_jacobi2d_interior(b, cfg.nx, cfg.ny_total,
+                                                 cfg.steps, cfg.boundary);
+  ASSERT_EQ(ra.values.size(), ref_a.size());
+  ASSERT_EQ(rb.values.size(), ref_b.size());
+  EXPECT_LT(max_abs_diff(ra.values, ref_a), 1e-13);
+  EXPECT_LT(max_abs_diff(rb.values, ref_b), 1e-13);
 }
 
 // ---- cache-blocked variant --------------------------------------------------
