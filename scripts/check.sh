@@ -4,9 +4,11 @@
 #
 # A second, sanitizer lane (ASan + UBSan, build-san/) then re-runs the
 # transport-heavy suites — fault injection exercises timer/ack races that
-# only a sanitizer can vouch for — and the distributed stencil suites,
-# whose partition components carry confirm hooks and migrate. Skip it
-# with PX_SKIP_SAN=1.
+# only a sanitizer can vouch for, coalescing the buffer deadline timers and
+# domain teardown with timers still armed — the timer service's
+# cancel/cancel_and_wait edges (test_scheduler), and the distributed
+# stencil suites, whose partition components carry confirm hooks and
+# migrate. Skip it with PX_SKIP_SAN=1.
 #
 # --torture: instead of the tiers above, build and run only the
 # ctest-labeled torture suites (px::torture seed sweeps) with a big seed
@@ -167,6 +169,7 @@ cmake -B "$repo/build-san" -S "$repo" \
   -DPX_SANITIZE=ON -DPX_BUILD_BENCH=OFF -DPX_BUILD_EXAMPLES=OFF
 cmake --build "$repo/build-san" -j \
   --target test_fault_injection --target test_parcel \
+  --target test_coalesce --target test_scheduler \
   --target test_dist_heat --target test_dist_jacobi --target test_rebalance
 (cd "$repo/build-san" && ctest --output-on-failure \
-  -R 'test_fault_injection|test_parcel|test_dist_heat|test_dist_jacobi|test_rebalance')
+  -R 'test_fault_injection|test_parcel|test_coalesce|test_scheduler|test_dist_heat|test_dist_jacobi|test_rebalance')

@@ -2,7 +2,8 @@
 # Single CI entry point: chains every verification lane in cost order.
 #
 #   1. tier-1        fresh build + full ctest + sanitizer re-run of the
-#                    transport + distributed stencil suites
+#                    transport (fault injection, parcel, coalescing),
+#                    timer service and distributed stencil suites
 #                                                (scripts/check.sh)
 #   2. pxbench       the benchmark's Python unit tests + workload build
 #                                                (scripts/check.sh --pxbench)

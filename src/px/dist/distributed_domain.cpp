@@ -1,8 +1,9 @@
 #include "px/dist/distributed_domain.hpp"
 
+#include <algorithm>
 #include <chrono>
-#include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "px/counters/counters.hpp"
@@ -244,18 +245,63 @@ PX_REGISTER_ACTION(agas_residence_update)
 
 namespace detail {
 
+using clock = rt::timer_service::clock;
+
+// One self-re-arming timer, guarded by its owner's lock: `token` is the
+// armed (or firing) callback, null while idle, and `at` its deadline. A
+// firing callback drops itself from the slot under the owner's lock, then
+// handles whatever is due and re-arms for the next deadline, so at most one
+// callback per slot is live. An idle or armed slot holds no obligation.
+struct timer_slot {
+  std::shared_ptr<rt::timer_token> token;
+  clock::time_point at{};
+
+  // Under the owner's lock: returns a fresh token to hand to the timer
+  // service when `due` precedes the slot's next firing, else null. A token
+  // that can no longer be cancelled is firing and has not yet reached the
+  // owner's lock; it re-arms from what it finds there.
+  std::shared_ptr<rt::timer_token> arm_by(clock::time_point due) {
+    if (token != nullptr && (at <= due || !token->cancel())) return nullptr;
+    token = std::make_shared<rt::timer_token>();
+    at = due;
+    return token;
+  }
+
+  // Under the owner's lock, first thing in the callback.
+  void fired(rt::timer_token const* self) noexcept {
+    if (token.get() == self) token.reset();
+  }
+
+  // Disarms the slot for good, waiting out a callback mid-flight. A
+  // callback that lost the race has cleared itself from the slot and may
+  // have re-armed, so look again until the slot is idle or cancelled.
+  void disarm(px::spinlock& lock) {
+    for (;;) {
+      std::shared_ptr<rt::timer_token> t;
+      {
+        std::lock_guard<spinlock> guard(lock);
+        t = token;
+      }
+      if (t == nullptr || t->cancel_and_wait()) return;
+    }
+  }
+};
+
 // Sender-side copy of an unacked parcel, kept until the ack arrives or the
 // retry budget is exhausted.
 struct pending_tx {
   parcel::parcel frame;
   int attempts = 1;          // transmissions so far (1 = the original send)
-  double backoff_us = 0.0;   // backoff component of the currently armed RTO
-  std::shared_ptr<rt::timer_token> rto;
+  double backoff_us = 0.0;   // backoff component of the current RTO
+  // When the current transmission's RTO expires; max() while the parcel
+  // waits in a coalescing buffer, not yet on the wire.
+  clock::time_point due = clock::time_point::max();
 };
 
-// One ordered (src,dst) pair: sender-side sequencing and in-flight map,
-// receiver-side dedup window. Both ends live in-process, so one struct
-// serves both directions of the protocol for this link.
+// One ordered (src,dst) pair: sender-side sequencing, in-flight map and
+// retransmission timer, receiver-side dedup window. Both ends live
+// in-process, so one struct serves both directions of the protocol for
+// this link.
 struct link_state {
   link_state(std::size_t dedup_capacity, std::uint64_t initial_seq)
       : next_seq(initial_seq), rx(dedup_capacity) {
@@ -267,6 +313,8 @@ struct link_state {
   std::uint64_t next_seq;
   net::dedup_window rx;
   std::unordered_map<std::uint64_t, pending_tx> inflight;
+  // Fires at the earliest inflight due time.
+  timer_slot rto;
   // Floor observed by the last dedup-window-soundness invariant check; the
   // floor must only ever advance (in serial order — it wraps with the
   // seqs).
@@ -280,26 +328,14 @@ struct link_state {
 
 // One ordered (src,dst) coalescing buffer. Parcels wait here (each holding
 // an in-flight obligation, so quiesce sees them) until a flush policy
-// fires; `deadline` is the timer token of the armed deadline flush, owned
-// jointly with the timer service's one-shot claim protocol — whichever
-// side claims it first wins, the other no-ops.
+// fires. The deadline timer fires no later than `flush_by`, the first
+// enqueue of `pending` plus the flush delay.
 struct coalesce_buffer {
   px::spinlock lock;
   std::vector<parcel::parcel> pending;
   std::size_t bytes = 0;  // encoded body bytes of `pending`
-  std::shared_ptr<rt::timer_token> deadline;
-};
-
-// One retransmission timer to arm against a wire frame: logical parcel
-// identity plus the token route()/on_rto() pre-installed in the link's
-// inflight entry. A coalesced envelope carries one arm per reliable parcel
-// inside it.
-struct rto_arm {
-  std::uint32_t src = 0;
-  std::uint32_t dst = 0;
-  std::uint64_t seq = 0;
-  int attempt = 1;
-  std::shared_ptr<rt::timer_token> token;
+  clock::time_point flush_by{};
+  timer_slot deadline;
 };
 
 }  // namespace detail
@@ -466,18 +502,13 @@ distributed_domain::~distributed_domain() {
   // touch this object, so the quiesce below sees only application traffic.
   if (detector_ != nullptr) detector_->stop();
   wait_all_quiescent();
-  // Cancelled retransmission timers may still sit in the timer heap; their
-  // callbacks are claimed no-ops and never touch this object again. A
-  // flush-deadline callback that won its claim race, though, may still be
-  // mid-flight (backing off on the buffer a flush emptied) — wait those
-  // out before the buffers they are about to lock are freed.
-  std::vector<std::shared_ptr<rt::timer_token>> retired;
-  {
-    std::lock_guard<spinlock> guard(retired_lock_);
-    retired.swap(retired_deadline_tokens_);
-  }
-  for (auto const& token : retired)
-    while (token->is_running()) std::this_thread::yield();
+  // Armed timers hold no obligation, so the quiesce does not wait for
+  // them: a link's retransmission timer or a buffer's deadline timer may
+  // still be armed, or firing toward the lock it is about to take. Disarm
+  // each before the links and buffers are freed. (A callback that found
+  // work holds an obligation until it is done, so quiesce waited for it.)
+  for (auto& link : links_) link->rto.disarm(link->lock);
+  for (auto& buf : coalesce_) buf->deadline.disarm(buf->lock);
   // Localities (and their runtimes) shut down in the unique_ptr dtors.
 }
 
@@ -538,20 +569,21 @@ void distributed_domain::route(parcel::parcel p) {
       enqueue_coalesced(std::move(p));
       return;
     }
-    transmit(std::move(p), 1);
+    put_on_wire(std::move(p));
     return;
   }
 
   // Reliable path: assign the link sequence number and keep a copy for
   // retransmission. The logical-parcel obligation is released on ack or on
-  // retry-budget exhaustion, which is what quiesce() waits for. The RTO
-  // token is created and installed while still holding the link lock —
-  // the invariant (a live inflight entry always carries the unclaimed
-  // token of its *current* transmission) is what makes the ack/RTO race
-  // settle exactly once.
+  // retry-budget exhaustion, which is what quiesce() waits for. A coalesced
+  // parcel's RTO starts only when flush_batch puts its envelope on the
+  // wire; until then its entry is never due.
+  auto const src = p.source;
+  auto const dst = p.dest;
   std::shared_ptr<rt::timer_token> rto;
+  auto due = detail::clock::time_point::max();
   {
-    auto& link = link_between(p.source, p.dest);
+    auto& link = link_between(src, dst);
     std::lock_guard<spinlock> guard(link.lock);
     p.seq = link.next_seq;
     link.next_seq = net::seq_successor(link.next_seq);
@@ -559,17 +591,18 @@ void distributed_domain::route(parcel::parcel p) {
     tx.frame = p;  // payload copied: the original goes on the wire
     tx.attempts = 1;
     tx.backoff_us = net::backoff_us(cfg_.reliability, 0);
-    tx.rto = rto = std::make_shared<rt::timer_token>();
+    if (!coalesce_enabled_) {
+      tx.due = due = rto_due(detail::clock::now(), p.wire_size(), 1);
+      rto = link.rto.arm_by(due);
+    }
+    obligation_begin();
   }
-  obligation_begin();
   if (coalesce_enabled_) {
-    // The parcel waits in the buffer with its RTO token installed but
-    // unarmed — nothing can race it onto a timer until the flush puts the
-    // envelope on the wire and arms every inner RTO against it.
     enqueue_coalesced(std::move(p));
     return;
   }
-  transmit(std::move(p), 1, std::move(rto));
+  arm(&distributed_domain::on_rto, src, dst, std::move(rto), due);
+  put_on_wire(std::move(p));
 }
 
 // ---- coalescing ---------------------------------------------------------
@@ -590,7 +623,7 @@ void distributed_domain::enqueue_coalesced(parcel::parcel p) {
   obligation_begin();
   std::vector<parcel::parcel> batch;
   std::shared_ptr<rt::timer_token> deadline;
-  bool arm_deadline = false;
+  detail::clock::time_point flush_by;
   {
     std::lock_guard<spinlock> guard(buf.lock);
     buf.bytes += net::coalesced_parcel_bytes(p);
@@ -599,25 +632,20 @@ void distributed_domain::enqueue_coalesced(parcel::parcel p) {
         buf.bytes >= coalesce_cfg_.max_bytes) {
       batch.swap(buf.pending);
       buf.bytes = 0;
-      deadline = std::move(buf.deadline);
     } else if (buf.pending.size() == 1) {
-      deadline = buf.deadline = std::make_shared<rt::timer_token>();
-      arm_deadline = true;
+      buf.flush_by = flush_by =
+          detail::clock::now() +
+          std::chrono::nanoseconds(coalesce_flush_delay_ns_);
+      deadline = buf.deadline.arm_by(flush_by);
     }
   }
   if (!batch.empty()) {
-    if (deadline != nullptr) retire_deadline_token(std::move(deadline));
     counters::builtin().net_flushes_size.add();
     flush_batch(std::move(batch));
     return;
   }
-  if (arm_deadline) {
-    rt::timer_service::instance().call_at(
-        rt::timer_service::clock::now() +
-            std::chrono::nanoseconds(coalesce_flush_delay_ns_),
-        [this, src, dst] { on_flush_deadline(src, dst); },
-        std::move(deadline));
-  }
+  arm(&distributed_domain::on_flush_deadline, src, dst, std::move(deadline),
+      flush_by);
   // Flush-at-quiesce ordering: wait_all_quiescent flushes every buffer
   // after bumping quiescing_, both under the buffer lock. If our insert
   // landed before that steal, the quiesce pass carries the parcel; if
@@ -629,41 +657,17 @@ void distributed_domain::enqueue_coalesced(parcel::parcel p) {
     flush_buffer(buf, counters::builtin().net_flushes_explicit);
 }
 
-void distributed_domain::retire_deadline_token(
-    std::shared_ptr<rt::timer_token> token) {
-  // Winning the claim means the timer fires as a counted no-op and its
-  // captures never run — nothing to track. Losing it means the deadline
-  // callback is mid-flight on the timer thread, backing off on the buffer
-  // this flush just emptied; the batch's obligations transferred to us,
-  // so once they drain nothing else stops ~distributed_domain from
-  // freeing the buffer the callback is still about to lock. (That exact
-  // race — token claimed, callback descheduled, quiesce drains,
-  // destructor runs, callback resumes into freed memory and spins on a
-  // garbage spinlock — hung the bench suite on a single-core host.)
-  // Blocking here would put an OS timeslice on the flush hot path, so
-  // park the token instead and let the destructor wait it out once.
-  if (token->cancel()) return;
-  std::lock_guard<spinlock> guard(retired_lock_);
-  std::erase_if(retired_deadline_tokens_,
-                [](auto const& t) { return !t->is_running(); });
-  retired_deadline_tokens_.push_back(std::move(token));
-}
-
 void distributed_domain::flush_buffer(detail::coalesce_buffer& buf,
                                       counters::counter& trigger) {
   std::vector<parcel::parcel> batch;
-  std::shared_ptr<rt::timer_token> deadline;
   {
     std::lock_guard<spinlock> guard(buf.lock);
     if (buf.pending.empty()) return;
     batch.swap(buf.pending);
     buf.bytes = 0;
-    deadline = std::move(buf.deadline);
   }
-  // Claiming a still-armed deadline token turns its timer into a counted
-  // no-op; losing the claim means the deadline callback is concurrently
-  // stealing — it found (or will find) an empty buffer and backs off.
-  if (deadline != nullptr) retire_deadline_token(std::move(deadline));
+  // The deadline timer stays armed: it finds an empty buffer and goes
+  // idle, or a younger batch and re-arms for that batch's deadline.
   trigger.add();
   flush_batch(std::move(batch));
 }
@@ -671,27 +675,8 @@ void distributed_domain::flush_buffer(detail::coalesce_buffer& buf,
 void distributed_domain::flush_batch(std::vector<parcel::parcel> batch) {
   if (batch.empty()) return;
   std::size_t const n = batch.size();
-
-  // Collect the *current* RTO token of every reliable parcel in the batch.
-  // A missing inflight entry means confirm_failure drained it while the
-  // parcel sat buffered — the parcel still rides the envelope (the
-  // blackholed wire eats it) but no timer is armed for it.
-  std::vector<detail::rto_arm> arms;
-  if (reliable_) {
-    auto& link = link_between(batch.front().source, batch.front().dest);
-    std::lock_guard<spinlock> guard(link.lock);
-    arms.reserve(n);
-    for (auto const& p : batch) {
-      // Only sequenced data parcels retransmit. An ack's seq field names
-      // the seq it acknowledges — on this link that can alias one of our
-      // own data seqs, so filter by action, not just seq != 0.
-      if (p.seq == 0 || p.action == parcel::ack_action_id) continue;
-      auto it = link.inflight.find(p.seq);
-      if (it == link.inflight.end()) continue;
-      arms.push_back({p.source, p.dest, p.seq, it->second.attempts,
-                      it->second.rto});
-    }
-  }
+  auto const src = batch.front().source;
+  auto const dst = batch.front().dest;
 
   auto& b = counters::builtin();
   b.net_coalesced_parcels.add(n);
@@ -702,7 +687,33 @@ void distributed_domain::flush_batch(std::vector<parcel::parcel> batch) {
     b.net_compress_in_bytes.add(compressed_in);
     b.net_compressed_bytes.add(compressed_out);
   }
-  put_on_wire(std::move(envelope), std::move(arms));
+
+  // The envelope starts the RTO of every reliable parcel inside it. A
+  // missing inflight entry means confirm_failure drained it while the
+  // parcel sat buffered: it still rides the envelope (the blackholed wire
+  // eats it) but has no RTO.
+  if (reliable_) {
+    auto const due = rto_due(detail::clock::now(), envelope.wire_size(), 1);
+    std::shared_ptr<rt::timer_token> rto;
+    {
+      auto& link = link_between(src, dst);
+      std::lock_guard<spinlock> guard(link.lock);
+      bool stamped = false;
+      for (auto const& p : batch) {
+        // Only sequenced data parcels retransmit. An ack's seq field names
+        // the seq it acknowledges — on this link that can alias one of our
+        // own data seqs, so filter by action, not just seq != 0.
+        if (p.seq == 0 || p.action == parcel::ack_action_id) continue;
+        auto it = link.inflight.find(p.seq);
+        if (it == link.inflight.end()) continue;
+        it->second.due = due;
+        stamped = true;
+      }
+      if (stamped) rto = link.rto.arm_by(due);
+    }
+    arm(&distributed_domain::on_rto, src, dst, std::move(rto), due);
+  }
+  put_on_wire(std::move(envelope));
   // The buffered parcels' enqueue obligations release only now: the
   // envelope's own schedule/ack obligations are live, so the in-flight
   // count never dips to zero mid-handoff.
@@ -710,19 +721,30 @@ void distributed_domain::flush_batch(std::vector<parcel::parcel> batch) {
 }
 
 void distributed_domain::on_flush_deadline(std::uint32_t src,
-                                           std::uint32_t dst) {
+                                           std::uint32_t dst,
+                                           rt::timer_token const* self) {
   auto& buf = buffer_between(src, dst);
   std::vector<parcel::parcel> batch;
+  std::shared_ptr<rt::timer_token> rearm;
+  detail::clock::time_point flush_by;
   {
     std::lock_guard<spinlock> guard(buf.lock);
-    if (buf.pending.empty()) return;  // raced a size/explicit flush
-    batch.swap(buf.pending);
-    buf.bytes = 0;
-    // Our own token is already claimed (the timer service claimed it to
-    // run this callback); a *newer* token in the slot belongs to a batch
-    // we are stealing early — harmless, its timer no-ops on the empty
-    // buffer or flushes the next batch ahead of schedule.
-    buf.deadline.reset();
+    buf.deadline.fired(self);
+    if (buf.pending.empty()) return;  // a size/explicit flush took it
+    flush_by = buf.flush_by;
+    if (detail::clock::now() < flush_by) {
+      // Armed for a batch an earlier flush took; the batch now buffered
+      // is younger and waits for its own deadline.
+      rearm = buf.deadline.arm_by(flush_by);
+    } else {
+      batch.swap(buf.pending);
+      buf.bytes = 0;
+    }
+  }
+  if (batch.empty()) {
+    arm(&distributed_domain::on_flush_deadline, src, dst, std::move(rearm),
+        flush_by);
+    return;
   }
   counters::builtin().net_flushes_deadline.add();
   flush_batch(std::move(batch));
@@ -734,19 +756,39 @@ void distributed_domain::flush_coalescing() {
     flush_buffer(*buf, counters::builtin().net_flushes_explicit);
 }
 
-void distributed_domain::transmit(parcel::parcel frame, int attempt,
-                                  std::shared_ptr<rt::timer_token> rto) {
-  std::vector<detail::rto_arm> arms;
-  if (rto != nullptr)
-    arms.push_back({frame.source, frame.dest, frame.seq, attempt,
-                    std::move(rto)});
-  put_on_wire(std::move(frame), std::move(arms));
+void distributed_domain::arm(timer_fn fire, std::uint32_t src,
+                             std::uint32_t dst,
+                             std::shared_ptr<rt::timer_token> token,
+                             detail::clock::time_point at) {
+  if (token == nullptr) return;
+  auto const* self = token.get();
+  rt::timer_service::instance().call_at(
+      at, [this, fire, src, dst, self] { (this->*fire)(src, dst, self); },
+      std::move(token));
 }
 
-void distributed_domain::put_on_wire(parcel::parcel frame,
-                                     std::vector<detail::rto_arm> arms) {
+detail::clock::time_point distributed_domain::rto_due(
+    detail::clock::time_point now, std::size_t bytes,
+    int attempt) const noexcept {
+  std::uint64_t one_way_ns = fabric_.injected_delay_ns(bytes);
+  // A held (reordered / extra-delayed) frame or ack is late, not lost;
+  // widen the RTT estimate by the worst-case hold so the first RTO
+  // outlives an injected delay instead of guaranteeing a spurious
+  // retransmit.
+  if (fabric_.faults().enabled())
+    one_way_ns += static_cast<std::uint64_t>(
+        fabric_.faults().config().max_hold_us() * 1000.0);
+  // Coalescing delays both the data frame (this envelope waited out a
+  // flush policy) and its acks (they batch on the reverse buffer); widen
+  // by both worst cases or every buffered round trip retransmits.
+  if (coalesce_enabled_) one_way_ns += 2 * coalesce_flush_delay_ns_;
+  return now + std::chrono::nanoseconds(
+                   net::rto_ns(cfg_.reliability, attempt, one_way_ns));
+}
+
+void distributed_domain::put_on_wire(parcel::parcel frame) {
   // Wire-side torture window: delays here push an inline delivery (and the
-  // ack chain it triggers) past a concurrently armed RTO.
+  // ack chain it triggers) past the link's retransmission timer.
   PX_TORTURE_POINT(net_transmit);
   std::size_t const bytes = frame.wire_size();
   fabric_.counters().record(bytes, fabric_.modeled_us(bytes));
@@ -755,42 +797,10 @@ void distributed_domain::put_on_wire(parcel::parcel frame,
   fabric_.faults().advance_modeled_ns(
       fabric_.counters().modeled_us_x1000.load(std::memory_order_relaxed));
 
-  // Arm the retransmission timers before the frame can possibly be
-  // delivered. The caller installed each token in its link's inflight
-  // entry under the link lock; if an ack settled an entry (and cancelled
-  // the token) in the meantime, the timer armed here fires as a counted
-  // no-op and the obligation was already released by the ack path.
-  if (!arms.empty()) {
-    std::uint64_t one_way_ns = fabric_.injected_delay_ns(bytes);
-    // A held (reordered / extra-delayed) frame or ack is late, not lost;
-    // widen the RTT estimate by the worst-case hold so the first RTO
-    // outlives an injected delay instead of guaranteeing a spurious
-    // retransmit.
-    if (fabric_.faults().enabled())
-      one_way_ns += static_cast<std::uint64_t>(
-          fabric_.faults().config().max_hold_us() * 1000.0);
-    // Coalescing delays both the data frame (this envelope waited out a
-    // flush policy) and its acks (they batch on the reverse buffer); widen
-    // by both worst cases or every buffered round trip retransmits.
-    if (coalesce_enabled_) one_way_ns += 2 * coalesce_flush_delay_ns_;
-    auto const now = rt::timer_service::clock::now();
-    for (auto& arm : arms) {
-      std::uint64_t const rto_ns =
-          net::rto_ns(cfg_.reliability, arm.attempt, one_way_ns);
-      auto const src = arm.src;
-      auto const dst = arm.dst;
-      auto const seq = arm.seq;
-      rt::timer_service::instance().call_at(
-          now + std::chrono::nanoseconds(rto_ns),
-          [this, src, dst, seq] { on_rto(src, dst, seq); },
-          std::move(arm.token));
-    }
-  }
-
   auto const fate = fabric_.faults().sample(frame.source, frame.dest);
   if (fate.drop) {
     counters::builtin().net_drops.add();
-    return;  // the armed RTO (if any) repairs this
+    return;  // the link's retransmission timer (if any) repairs this
   }
 
   // slow_by locality faults stretch the injected delay without touching
@@ -911,12 +921,11 @@ void distributed_domain::send_ack(parcel::parcel const& data) {
     enqueue_coalesced(std::move(ack));
     return;
   }
-  transmit(std::move(ack), 1);
+  put_on_wire(std::move(ack));
 }
 
 void distributed_domain::handle_ack(parcel::parcel const& ack) {
   // The data frame travelled ack.dest -> ack.source.
-  std::shared_ptr<rt::timer_token> token;
   {
     auto& link = link_between(ack.dest, ack.source);
     std::lock_guard<spinlock> guard(link.lock);
@@ -929,103 +938,68 @@ void distributed_domain::handle_ack(parcel::parcel const& ack) {
       counters::builtin().resilience_stale_epoch_drops.add();
       return;
     }
-    token = std::move(it->second.rto);
     link.inflight.erase(it);
   }
-  // A live entry always carries the unclaimed token of its current
-  // transmission (route() and on_rto()'s retry branch install it under
-  // the link lock before the frame can hit the wire). cancel() succeeding
-  // means this thread owns the obligation release — if the timer is only
-  // armed afterwards it fires as a counted no-op. cancel() failing means
-  // the RTO callback claimed the token first and is concurrently heading
-  // for the link lock; it will find the entry gone and release the
-  // obligation itself.
-  PX_ASSERT(token != nullptr);
-  if (token->cancel()) obligation_done();
+  // The link timer stays armed; it fires, finds nothing due for this
+  // entry and goes idle or re-arms for the entries still in flight.
+  obligation_done();
 }
 
 void distributed_domain::on_rto(std::uint32_t src, std::uint32_t dst,
-                                std::uint64_t seq) {
-  enum class outcome { settled, failed, retry };
-  outcome what;
-  parcel::parcel frame;
-  int attempts = 0;
-  double waited_us = 0.0;
-  std::shared_ptr<rt::timer_token> next_rto;
+                                rt::timer_token const* self) {
+  auto& link = link_between(src, dst);
+  std::vector<std::pair<std::uint64_t, parcel::parcel>> retries;
+  std::vector<std::pair<parcel::parcel, int>> failed;
+  std::uint64_t waited_us = 0;
+  std::shared_ptr<rt::timer_token> rearm;
+  auto next = detail::clock::time_point::max();
   {
-    auto& link = link_between(src, dst);
     std::lock_guard<spinlock> guard(link.lock);
-    auto it = link.inflight.find(seq);
-    if (it == link.inflight.end()) {
-      // Acked in the window between this timer claiming its token and
-      // reaching the link lock; the ack path left the obligation to us.
-      what = outcome::settled;
-    } else {
-      waited_us = it->second.backoff_us;
-      if (it->second.attempts - 1 >= cfg_.reliability.max_retries) {
-        frame = std::move(it->second.frame);
-        attempts = it->second.attempts;
-        link.inflight.erase(it);
-        what = outcome::failed;
-      } else {
-        it->second.attempts += 1;
-        attempts = it->second.attempts;
-        frame = it->second.frame;  // copy: the stored one stays for later
-        // Install the next transmission's token before dropping the lock.
-        // An ack racing this retry then always finds an unclaimed token
-        // to cancel — this callback's own token is claimed and this path
-        // never releases the obligation, so leaving it in the entry would
-        // leak the obligation and hang quiesce. (The leak-reintroduction
-        // test flag skips exactly this install; see the retry case below.)
-        it->second.backoff_us =
-            net::backoff_us(cfg_.reliability, attempts - 1);
-        if (!cfg_.reliability.test_reintroduce_ack_retry_leak)
-          it->second.rto = next_rto = std::make_shared<rt::timer_token>();
-        what = outcome::retry;
+    link.rto.fired(self);
+    auto const now = detail::clock::now();
+    for (auto it = link.inflight.begin(); it != link.inflight.end();) {
+      auto& tx = it->second;
+      if (tx.due > now) {
+        next = std::min(next, tx.due);
+        ++it;
+        continue;
       }
+      waited_us += static_cast<std::uint64_t>(tx.backoff_us + 0.5);
+      if (tx.attempts - 1 >= cfg_.reliability.max_retries) {
+        failed.emplace_back(std::move(tx.frame), tx.attempts);
+        it = link.inflight.erase(it);
+        continue;
+      }
+      tx.attempts += 1;
+      tx.backoff_us = net::backoff_us(cfg_.reliability, tx.attempts - 1);
+      tx.due = rto_due(now, tx.frame.wire_size(), tx.attempts);
+      next = std::min(next, tx.due);
+      // Copy: the stored frame stays for later retransmissions.
+      retries.emplace_back(it->first, tx.frame);
+      ++it;
     }
+    if (next != detail::clock::time_point::max())
+      rearm = link.rto.arm_by(next);
+    // Hold the domain open until the retransmissions are on the wire: an
+    // ack racing one of them may settle the link's last entry meanwhile.
+    if (!retries.empty() || !failed.empty()) obligation_begin();
   }
-  switch (what) {
-    case outcome::settled:
-      obligation_done();
-      return;
-    case outcome::failed:
-      counters::builtin().net_backoff_us.add(
-          static_cast<std::uint64_t>(waited_us + 0.5));
-      fail_parcel(std::move(frame), attempts);
-      obligation_done();
-      return;
-    case outcome::retry:
-      counters::builtin().net_backoff_us.add(
-          static_cast<std::uint64_t>(waited_us + 0.5));
-      counters::builtin().net_retransmits.add();
-      if (cfg_.reliability.test_reintroduce_ack_retry_leak) {
-        // Deliberate re-enactment of the historical ack/RTO leak: the entry
-        // still holds this callback's *claimed* token while the lock is
-        // dropped. An ack landing in this window finds the claimed token,
-        // cancel() fails, the ack path leaves the release to us — and the
-        // late install below bails out on the erased entry without ever
-        // calling obligation_done(). Torture sleeps at net_transmit widen
-        // the window until the seed sweep hits it.
-        PX_TORTURE_POINT(net_transmit);
-        auto fresh = std::make_shared<rt::timer_token>();
-        bool live = false;
-        {
-          auto& link = link_between(src, dst);
-          std::lock_guard<spinlock> guard(link.lock);
-          auto it = link.inflight.find(seq);
-          if (it != link.inflight.end()) {
-            it->second.rto = fresh;
-            live = true;
-          }
-        }
-        if (!live) return;  // BUG (intentional): obligation leaked
-        transmit(std::move(frame), attempts, std::move(fresh));
-        return;
-      }
-      transmit(std::move(frame), attempts, std::move(next_rto));
-      return;
+  arm(&distributed_domain::on_rto, src, dst, std::move(rearm), next);
+  if (retries.empty() && failed.empty()) return;
+  counters::builtin().net_backoff_us.add(waited_us);
+  // Link order on the wire, as the original transmissions went.
+  std::sort(retries.begin(), retries.end(), [](auto const& a, auto const& b) {
+    return net::seq_precedes(a.first, b.first);
+  });
+  for (auto& [seq, frame] : retries) {
+    counters::builtin().net_retransmits.add();
+    put_on_wire(std::move(frame));
   }
+  for (auto& [frame, attempts] : failed) {
+    fail_parcel(std::move(frame), attempts);
+    obligation_done();
+  }
+  obligation_done();
 }
 
 void distributed_domain::fail_parcel(parcel::parcel&& p, int attempts) {
@@ -1061,8 +1035,7 @@ void distributed_domain::confirm_failure(std::uint32_t victim) {
 
   // Retransmissions to and from the victim can never be acked; drain them
   // now so quiesce does not wait out the full retry budget against a
-  // blackhole. cancel() succeeding transfers the obligation release to us;
-  // failing means the RTO callback is live and will settle it.
+  // blackhole. The link timers stay armed and go idle on their next fire.
   if (reliable_) {
     for (std::size_t other = 0; other < localities_.size(); ++other) {
       if (other == victim) continue;
@@ -1070,16 +1043,12 @@ void distributed_domain::confirm_failure(std::uint32_t victim) {
                                                    other)),
                          &link_between(static_cast<std::uint32_t>(other),
                                        victim)}) {
-        std::vector<detail::pending_tx> drained;
+        std::unordered_map<std::uint64_t, detail::pending_tx> drained;
         {
           std::lock_guard<spinlock> guard(link->lock);
-          drained.reserve(link->inflight.size());
-          for (auto& [seq, tx] : link->inflight)
-            drained.push_back(std::move(tx));
-          link->inflight.clear();
+          drained.swap(link->inflight);
         }
-        for (auto& tx : drained)
-          if (tx.rto->cancel()) obligation_done();
+        for (std::size_t i = 0; i < drained.size(); ++i) obligation_done();
       }
     }
   }
@@ -1184,7 +1153,7 @@ void distributed_domain::send_heartbeat(std::uint32_t src,
   counters::builtin().resilience_heartbeats.add();
   // Heartbeats bypass the reliable path on purpose: they are periodic soft
   // state, and retransmitting a stale one would only forge liveness.
-  transmit(std::move(hb), 1);
+  put_on_wire(std::move(hb));
 }
 
 namespace {
@@ -1232,7 +1201,7 @@ void distributed_domain::send_probe_frame(std::uint32_t src,
   // Same transport rules as heartbeats: unsequenced, unacked soft state. A
   // lost probe is just a failed liveness check; the next silence episode
   // launches another round.
-  transmit(std::move(p), 1);
+  put_on_wire(std::move(p));
 }
 
 void distributed_domain::send_probe_request(std::uint32_t origin,

@@ -28,7 +28,6 @@
 #include "px/net/coalesce.hpp"
 #include "px/net/fabric.hpp"
 #include "px/net/reliability.hpp"
-#include "px/support/spin.hpp"
 #include "px/torture/invariant.hpp"
 
 namespace px::rt {
@@ -40,7 +39,6 @@ namespace px::dist {
 namespace detail {
 struct link_state;       // per ordered (src,dst) pair; defined in the .cpp
 struct coalesce_buffer;  // per ordered (src,dst) coalescing buffer
-struct rto_arm;          // one RTO to arm against a wire frame
 }
 
 struct domain_config {
@@ -231,32 +229,40 @@ class distributed_domain {
   [[nodiscard]] detail::link_state& link_between(std::uint32_t src,
                                                  std::uint32_t dst) noexcept;
   // Puts one frame on the wire: traffic accounting (exactly one
-  // traffic_counters::record per frame), RTO arming for every logical
-  // parcel the frame carries, fault sampling, delivery scheduling. A plain
-  // frame arms at most one RTO; a coalesced envelope arms one per reliable
-  // parcel inside.
-  void put_on_wire(parcel::parcel frame, std::vector<detail::rto_arm> arms);
-  // Single-parcel wrapper over put_on_wire (the historical signature).
-  // `attempt` is the 1-based transmission count for this seq; `rto` must be
-  // the token the caller pre-installed in the link's inflight entry.
-  void transmit(parcel::parcel frame, int attempt,
-                std::shared_ptr<rt::timer_token> rto = nullptr);
+  // traffic_counters::record per frame), fault sampling, delivery
+  // scheduling. Reliable callers stamp the RTO due time of every logical
+  // parcel the frame carries (rto_due) before calling this.
+  void put_on_wire(parcel::parcel frame);
+  // When the RTO of transmission `attempt` (1-based) of a `bytes`-sized
+  // frame put on the wire at `now` expires.
+  [[nodiscard]] std::chrono::steady_clock::time_point rto_due(
+      std::chrono::steady_clock::time_point now, std::size_t bytes,
+      int attempt) const noexcept;
+  // Hands a token from a link's or buffer's timer slot to the timer
+  // service: `fire(src, dst, token)` runs at `at`. No-op on null.
+  using timer_fn = void (distributed_domain::*)(std::uint32_t, std::uint32_t,
+                                                rt::timer_token const*);
+  void arm(timer_fn fire, std::uint32_t src, std::uint32_t dst,
+           std::shared_ptr<rt::timer_token> token,
+           std::chrono::steady_clock::time_point at);
   // ---- coalescing (see docs/ARCHITECTURE.md §4.3) ----------------------
   [[nodiscard]] detail::coalesce_buffer& buffer_between(
       std::uint32_t src, std::uint32_t dst) noexcept;
   // Buffers a routed parcel; flushes immediately on a size/count threshold
-  // or when a quiesce is in progress, arms the deadline timer when the
-  // parcel is the first into an empty buffer.
+  // or when a quiesce is in progress, arms the buffer's deadline timer when
+  // the parcel is the first into an empty buffer.
   void enqueue_coalesced(parcel::parcel p);
   // Steals and flushes one buffer's batch, counting `trigger` (a
   // builtin_counters flush cell). No-op on an empty buffer.
-  void retire_deadline_token(std::shared_ptr<rt::timer_token> token);
   void flush_buffer(detail::coalesce_buffer& buf,
                     counters::counter& trigger);
-  // Encodes a stolen batch into one envelope and puts it on the wire,
-  // collecting the current RTO token of every reliable parcel inside.
+  // Encodes a stolen batch into one envelope, stamps the RTO of every
+  // reliable parcel inside and puts the envelope on the wire.
   void flush_batch(std::vector<parcel::parcel> batch);
-  void on_flush_deadline(std::uint32_t src, std::uint32_t dst);
+  // The buffer's deadline timer: flushes the batch once its deadline has
+  // passed, else re-arms for it.
+  void on_flush_deadline(std::uint32_t src, std::uint32_t dst,
+                         rt::timer_token const* self);
   // Schedules delivery after `delay_ns` of real time (inline when 0).
   void schedule_frame(parcel::parcel frame, std::uint64_t delay_ns);
   // Receiver-side transport: ack handling, dedup + ack for data frames.
@@ -271,15 +277,19 @@ class distributed_domain {
                         std::uint32_t target);
   void send_ack(parcel::parcel const& data);
   void handle_ack(parcel::parcel const& ack);
-  void on_rto(std::uint32_t src, std::uint32_t dst, std::uint64_t seq);
+  // The link's retransmission timer: retransmits or fails every expired
+  // inflight entry, then re-arms at the next due time.
+  void on_rto(std::uint32_t src, std::uint32_t dst,
+              rt::timer_token const* self);
   // Retry budget exhausted: counts the failure and fails the associated
   // response slot (if any) with net::delivery_error.
   void fail_parcel(parcel::parcel&& p, int attempts);
 
   // ---- in-flight obligation accounting ---------------------------------
-  // One obligation per scheduled frame and per unacked reliable parcel;
-  // quiesce waits (on a condition variable, not a busy poll) until the
-  // count drains to zero.
+  // One obligation per scheduled frame, per coalesce-buffered parcel and
+  // per unacked reliable parcel, plus one held by a timer callback while
+  // it retransmits; an armed timer holds none. Quiesce waits (on a
+  // condition variable, not a busy poll) until the count drains to zero.
   void obligation_begin() noexcept;
   void obligation_done() noexcept;
 
@@ -303,12 +313,6 @@ class distributed_domain {
   net::coalescing_config coalesce_cfg_;
   std::uint64_t coalesce_flush_delay_ns_ = 0;
   std::vector<std::unique_ptr<detail::coalesce_buffer>> coalesce_;
-  // Flush-deadline tokens whose cancel lost the claim race: the callback
-  // is (or was) mid-flight on the timer thread. The destructor must wait
-  // them out before freeing the buffers they are about to lock; the hot
-  // flush paths only append here (rare) instead of blocking inline.
-  spinlock retired_lock_;
-  std::vector<std::shared_ptr<rt::timer_token>> retired_deadline_tokens_;
 
   std::mutex quiesce_mutex_;
   std::condition_variable quiesce_cv_;

@@ -6,12 +6,16 @@
 // — lives in px::dist::distributed_domain, which owns the links.
 //
 // Protocol sketch (per ordered (src,dst) link):
-//   sender    : seq = next_seq++; keep a copy; transmit; arm RTO
-//   RTO fires : unacked? retransmit with exponential backoff, up to
-//               max_retries times, then abandon (delivery_error)
+//   sender    : seq = next_seq++; keep a copy stamped with its RTO due
+//               time; transmit; arm the link's timer if it would fire
+//               later than that due time (or is idle)
+//   timer     : fires at the earliest due time; every expired copy is
+//               retransmitted with exponential backoff, up to max_retries
+//               times, then abandoned (delivery_error); re-arms at the
+//               next due time, or goes idle when nothing is in flight
 //   receiver  : ack every data frame (including duplicates); deliver only
 //               the first copy of each seq (dedup window)
-//   ack path  : erase the sender copy, cancel the pending RTO
+//   ack path  : erase the sender copy (the timer is left alone)
 // Acks are fire-and-forget: a lost ack is repaired by the data RTO, whose
 // retransmission is re-acked (and suppressed as a duplicate).
 #pragma once
@@ -80,18 +84,9 @@ struct reliability_config {
   // so the counter wraps max -> 1). Receivers are told via
   // dedup_window::start_from.
   std::uint64_t initial_seq = 1;
-
-  // TEST ONLY — never set in production code. Re-enacts a historical bug
-  // in the ack/RTO race (the retry path installed the fresh RTO token only
-  // after dropping the link lock, so an ack landing in that window found a
-  // claimed token, neither path released the in-flight obligation, and
-  // quiesce hung). Exists so the torture harness can prove the seed sweep
-  // catches exactly this class of bug; see
-  // tests/test_torture_reliability.cpp.
-  bool test_reintroduce_ack_retry_leak = false;
 };
 
-// Backoff component (microseconds) of the RTO armed before retransmission
+// Backoff component (microseconds) of the RTO before retransmission
 // `retry` (0-based). Pure function of the config, unit-testable.
 [[nodiscard]] double backoff_us(reliability_config const& cfg, int retry) noexcept;
 

@@ -24,8 +24,9 @@ namespace px::rt {
 // invoking the callback, a canceller claims to suppress it. Cancellation is
 // lazy — the heap entry stays until its deadline and fires as a no-op —
 // so a cancelled callback's captures are destroyed at the deadline, not at
-// cancel time. Used by the parcel reliability layer to disarm a
-// retransmission timer when the ack arrives.
+// cancel time. The distributed domain's link retransmission and buffer
+// deadline timers cancel a token to re-arm earlier, and cancel_and_wait
+// it at teardown; the failure detector disarms its tick the same way.
 class timer_token {
   enum : int { armed, cancelled, running, done };
 
@@ -56,12 +57,6 @@ class timer_token {
 
   [[nodiscard]] bool is_armed() const noexcept {
     return state_.load(std::memory_order_acquire) == armed;
-  }
-
-  // True while the timer thread is inside the callback. Non-blocking
-  // probe for retire lists that must prune without waiting.
-  [[nodiscard]] bool is_running() const noexcept {
-    return state_.load(std::memory_order_acquire) == running;
   }
 
  private:

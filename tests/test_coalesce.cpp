@@ -15,6 +15,7 @@
 #include "px/counters/counters.hpp"
 #include "px/net/coalesce.hpp"
 #include "px/net/compress.hpp"
+#include "px/net/fault_plane.hpp"
 #include "px/stencil/heat1d.hpp"
 #include "px/stencil/heat1d_distributed.hpp"
 
@@ -544,7 +545,7 @@ TEST(Coalescing, LossyCoalescedHeatBitwiseIdentical) {
   // solver must still be bitwise identical to the clean run.
   auto initial = px::stencil::heat1d_sine_initial(401);
   px::stencil::dist_heat_config hc;
-  hc.steps = 12;
+  hc.steps = 32;
 
   px::dist::domain_config clean;
   clean.num_localities = 2;
@@ -559,6 +560,15 @@ TEST(Coalescing, LossyCoalescedHeatBitwiseIdentical) {
   cfg.faults.duplicate = 0.02;
   cfg.faults.reorder = 0.05;
   cfg.faults.seed = 4242;
+  // The solve must hit at least one drop however coalescing batches it.
+  // Every step ships its edges and flushes, so each link carries at least
+  // one envelope per step, and fault fates are a pure function of (seed,
+  // link, frame index): the solve must run more steps than the index of
+  // link 0->1's first scheduled drop. Replay the plane to find it.
+  px::net::fault_plane replay(cfg.faults);
+  std::size_t first_drop = 0;
+  while (!replay.sample(0, 1).drop) ++first_drop;
+  ASSERT_LT(first_drop, hc.steps);
   px::dist::distributed_domain dom(cfg);
   ASSERT_TRUE(dom.reliable());
   ASSERT_TRUE(dom.coalescing());
@@ -567,6 +577,35 @@ TEST(Coalescing, LossyCoalescedHeatBitwiseIdentical) {
   ASSERT_EQ(r.values.size(), r_clean.values.size());
   EXPECT_TRUE(r.values == r_clean.values);
   EXPECT_GT(dom.fabric().faults().stats().drops, 0u);
+}
+
+TEST(Coalescing, TeardownWithArmedTimersIsClean) {
+  // Armed timers hold no obligation, so wait_all_quiescent() returns while
+  // a link's retransmission timer and a buffer's deadline timer are still
+  // armed; the destructor must disarm them (waiting out one that is
+  // firing) before it frees the links and buffers they lock. Even
+  // iterations use an hour-long flush delay: the deadline timer armed at
+  // the first enqueue and the RTO (widened by two flush delays) are
+  // certainly armed at teardown. Odd ones cycle short delays, so timers
+  // fire around the teardown instead. Run under ASan + UBSan by the
+  // sanitizer lane of scripts/check.sh.
+  for (int i = 0; i < 200; ++i) {
+    auto cfg = coalesce_cfg();
+    cfg.locality_cfg.num_workers = 1;
+    cfg.reliability.activation = px::net::reliability_config::mode::on;
+    cfg.coalescing.flush_delay_us =
+        i % 2 == 0 ? 3600.0 * 1e6 : 1.0 + (i % 20) * 25.0;
+    sink_hits.store(0);
+    {
+      px::dist::distributed_domain dom(cfg);
+      dom.run([](px::dist::locality& loc0) {
+        for (int j = 0; j < 8; ++j) loc0.apply<&coalesce_sink>(1, j);
+        return 0;
+      });
+      dom.wait_all_quiescent();
+    }
+    ASSERT_EQ(sink_hits.load(), 8) << "iteration " << i;
+  }
 }
 
 TEST(Coalescing, EnvKnobEnablesDomainWithoutCodeChange) {

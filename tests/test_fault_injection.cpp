@@ -239,10 +239,10 @@ TEST(LossyFabric, DuplicatesSuppressedExactly) {
 }
 
 TEST(LossyFabric, AckRacingRetryDrainsInFlight) {
-  // Regression: an ack landing while the RTO callback is mid-retry must
-  // not leak the in-flight obligation — the retry installs its fresh
-  // timer token under the link lock before dropping it, so the ack always
-  // finds a cancellable token. A near-zero backoff puts the RTO deadline
+  // Regression: an ack landing while the link's retransmission timer is
+  // mid-retry must not leak the in-flight obligation — the ack erases the
+  // entry and releases it, the retry only ever copies a live entry under
+  // the link lock. A near-zero backoff puts the RTO deadline
   // right inside the held-ack arrival window (data hold + ack hold ==
   // 2 * reorder_hold ~= the hold-widened RTO), maximizing collisions; the
   // assertion that matters is that wait_all_quiescent() returns.
@@ -366,6 +366,40 @@ TEST(LossyFabric, ForcedReliabilityStaysExactWithoutFaults) {
   EXPECT_LT(px::stencil::max_abs_diff(result.values, ref), 1e-13);
   dom.wait_all_quiescent();
   EXPECT_GT(builtin().net_acks.load() - before_acks, 0u);
+}
+
+TEST(LossyFabric, LinkTimerArmsFarFewerThanOncePerParcel) {
+  // One retransmission timer per link, not per parcel. On a lossless
+  // fabric with inline delivery every ack lands long before its RTO, so a
+  // link's timer arms when the link goes busy and re-arms at most once per
+  // RTO period while it stays busy. A timer per parcel would arm at least
+  // once per request and once per response: >= 2 * n.
+  constexpr int n = 2000;
+  px::dist::domain_config cfg;
+  cfg.num_localities = 2;
+  cfg.locality_cfg.num_workers = 2;
+  cfg.injection_scale = 0.0;
+  cfg.reliability.activation = px::net::reliability_config::mode::on;
+
+  auto const arms = [] {
+    std::uint64_t v = 0;
+    EXPECT_TRUE(px::counters::registry::instance().value_of(
+        "/px/timer/callbacks_scheduled", v));
+    return v;
+  };
+  auto const before = arms();
+  px::dist::distributed_domain dom(cfg);
+  ASSERT_TRUE(dom.reliable());
+  ASSERT_FALSE(dom.coalescing());
+  dom.run([](px::dist::locality& loc0) {
+    std::vector<px::future<int>> fs;
+    fs.reserve(n);
+    for (int i = 0; i < n; ++i) fs.push_back(loc0.call<&echo_scaled>(1, i));
+    for (int i = 0; i < n; ++i) EXPECT_EQ(fs[i].get(), 100 + i);
+    return 0;
+  });
+  dom.wait_all_quiescent();
+  EXPECT_LT(arms() - before, std::uint64_t{n / 4});
 }
 
 // ---- dead letters --------------------------------------------------------

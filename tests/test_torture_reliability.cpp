@@ -1,18 +1,12 @@
 // Seed sweeps over the parcel reliability layer, its quiesce invariants,
-// and the differential heat1d oracle — plus the harness's reason to exist:
-// a deliberately reintroduced ack/RTO obligation leak (behind the
-// test_reintroduce_ack_retry_leak flag) must be caught by the sweep and
-// replay to the same invariant violation.
+// and the differential heat1d oracle.
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "px/counters/counters.hpp"
 #include "px/net/reliability.hpp"
 #include "px/stencil/heat1d.hpp"
 #include "px/stencil/heat1d_distributed.hpp"
@@ -119,100 +113,5 @@ TEST(TortureReliability, HeatSolverBitwiseStableAcrossLossySeeds) {
       net_opts());
   EXPECT_TRUE(r.passed) << "seed " << r.failing_seed << ": " << r.message;
 }
-
-#if defined(PX_TORTURE) && PX_TORTURE
-
-// The acceptance test for the whole harness: re-enact the historical
-// ack/RTO obligation leak (fixed in the reliability layer's history) behind
-// its test-only flag and prove the seed sweep catches it, shrinks it, dumps
-// evidence, and that the failing seed replays to the same violation.
-TEST(TortureReliability, ReintroducedAckRetryLeakIsCaught) {
-  auto leaky_property = [](std::uint64_t seed) {
-    px::dist::domain_config cfg = lossy_cfg(seed);
-    // Inline delivery: a data frame's ack chain runs on the calling
-    // thread, so torture sleeps inside transmit/deliver push the ack past
-    // the (tiny) RTO and into the leaky retry's unprotected window. Keep
-    // drops rare — a genuinely dropped frame retransmits with NO ack in
-    // flight to race, so nearly every RTO should be a spurious one racing
-    // a live (perturbation-delayed) ack chain.
-    cfg.injection_scale = 0.0;
-    cfg.faults.duplicate = 0.0;
-    cfg.faults.reorder = 0.0;
-    cfg.faults.drop = 0.05;
-    cfg.reliability.initial_backoff_us = 1.0;
-    cfg.reliability.max_backoff_us = 20.0;
-    cfg.reliability.test_reintroduce_ack_retry_leak = true;
-
-    auto dom = std::make_unique<px::dist::distributed_domain>(cfg);
-    dom->run([](px::dist::locality& loc0) {
-      std::vector<px::future<int>> fs;
-      fs.reserve(150);
-      for (int i = 0; i < 150; ++i)
-        fs.push_back(loc0.call<&torture_echo>(1, i));
-      for (auto& f : fs) (void)f.get();
-      return 0;
-    });
-    if (!dom->wait_all_quiescent_for(2s)) {
-      auto const leaked = dom->obligations_in_flight();
-      dom->detach_invariants();
-      // The leak makes the destructor hang on the unreleased obligation;
-      // leaking the corrupted domain is the documented escape hatch (the
-      // torture suites do not run under the sanitizer lane).
-      (void)dom.release();
-      throw torture::invariant_violation(
-          {{"obligation-balance",
-            std::to_string(leaked) +
-                " obligation(s) in flight after quiesce timeout "
-                "(ack/RTO leak)"}});
-    }
-  };
-
-  torture::forall_options opts = net_opts();
-  opts.perturb.perturb_probability = 0.5;
-  opts.perturb.max_sleep_us = 200;
-  // No deadline jitter: jitter only ever delays the RTO, and a late RTO
-  // loses the race this test needs it to win.
-  opts.perturb.timer_jitter_ns = 0;
-  opts.dump_stem = "torture-leak";
-  // Shrink runs that still leak cost a 2s quiesce timeout each; keep the
-  // bisection short.
-  opts.max_shrink_runs = 4;
-
-  auto r = torture::forall_seeds(torture::seed_count(16), leaky_property,
-                                 opts);
-  ASSERT_FALSE(r.passed)
-      << "the reintroduced ack/RTO leak survived " << r.seeds_run
-      << " torture seeds undetected";
-  EXPECT_NE(r.message.find("obligation-balance"), std::string::npos)
-      << r.message;
-
-  // The failure evidence dump exists and names the invariant.
-  std::string const dump_path =
-      "torture-leak-" + std::to_string(r.failing_seed) + ".json";
-  std::ifstream dump(dump_path);
-  EXPECT_TRUE(dump.good()) << "missing failure dump " << dump_path;
-  std::remove(dump_path.c_str());
-
-  // Replay: the reported seed must reproduce the same invariant violation.
-  // The leak needs the widened race window, so replay with the full
-  // perturbation budget; one seed occasionally needs a second throw of the
-  // same schedule neighbourhood, so allow a bounded number of replays.
-  bool replayed = false;
-  for (int attempt = 0; attempt < 3 && !replayed; ++attempt) {
-    auto f = torture::run_one(r.failing_seed, leaky_property, opts.perturb);
-    if (f && f->find("obligation-balance") != std::string::npos)
-      replayed = true;
-  }
-  EXPECT_TRUE(replayed)
-      << "seed " << r.failing_seed << " did not replay the leak";
-}
-
-#else
-
-TEST(TortureReliability, ReintroducedAckRetryLeakIsCaught) {
-  GTEST_SKIP() << "PX_TORTURE hooks compiled out";
-}
-
-#endif
 
 }  // namespace
