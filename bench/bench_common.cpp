@@ -1,6 +1,8 @@
 #include "bench_common.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -11,6 +13,16 @@
 #include "px/support/env.hpp"
 
 namespace px::bench {
+
+namespace {
+
+// Decided on the bits (exponent all ones: nan or inf) because this TU is
+// built with -ffast-math, under which std::isfinite folds to true.
+bool is_finite(double v) noexcept {
+  return ((std::bit_cast<std::uint64_t>(v) >> 52) & 0x7ff) != 0x7ff;
+}
+
+}  // namespace
 
 std::optional<suite_cli> parse_suite_cli(int argc, char** argv) {
   auto usage = [&] {
@@ -39,7 +51,10 @@ std::optional<suite_cli> parse_suite_cli(int argc, char** argv) {
       if (v == nullptr) return usage();
       char* end = nullptr;
       cli.threshold_pct = std::strtod(v, &end);
-      if (end == v || *end != '\0') return usage();
+      // nan and inf never fail `delta_pct > threshold`: they switch the
+      // gate off, so they are malformed like any other non-number.
+      if (end == v || *end != '\0' || !is_finite(cli.threshold_pct))
+        return usage();
     } else if (arg == "--smoke") {
       cli.smoke = true;
     } else {

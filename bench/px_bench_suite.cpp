@@ -2,11 +2,12 @@
 //
 // One binary covering the runtime hot paths the paper's overhead analysis
 // cares about (task spawn/drain, future round trips, yields, LCO traffic,
-// tracing, work stealing, type-erased callables) plus host-scale runs of
-// the fig3 (1D heat) and fig4 (2D Jacobi) kernels. Every case is reported
-// through px::bench::runner: ns/op median + MAD across PX_BENCH_REPS
-// repetitions and the counter deltas of the timed block, written as one
-// px-bench/1 JSON document.
+// tracing, work stealing, type-erased callables), the layer costs below
+// them (fiber switches, parallel-algorithm grain, parcels, SIMD rows) and
+// host-scale runs of the fig3 (1D heat) and fig4 (2D Jacobi) kernels.
+// Every case is reported through px::bench::runner: ns/op median + MAD
+// across PX_BENCH_REPS repetitions and the counter deltas of the timed
+// block, written as one px-bench/1 JSON document.
 //
 //   px_bench_suite --out BENCH_pr5.json
 //   px_bench_suite --out now.json --compare BENCH_seed.json --threshold 10
@@ -23,6 +24,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <numeric>
 #include <span>
 #include <string>
 
@@ -34,19 +36,37 @@
 #include "px/counters/counters.hpp"
 #include "px/dist/distributed_domain.hpp"
 #include "px/dist/membership.hpp"
+#include "px/fibers/fiber.hpp"
+#include "px/fibers/stack.hpp"
 #include "px/net/fault_plane.hpp"
 #include "px/px.hpp"
 #include "px/runtime/ws_deque.hpp"
+#include "px/serial/archive.hpp"
 #include "px/serve/serve.hpp"
+#include "px/simd/simd.hpp"
 #include "px/stencil/stencil.hpp"
 
 namespace {
 
 int bench_coalesce_sink(px::dist::locality&, int) { return 0; }
 
+int bench_tiny_action(int x) { return x + 1; }
+
+double bench_sum_payload(std::vector<double> v) {
+  return std::accumulate(v.begin(), v.end(), 0.0);
+}
+
+std::atomic<std::uint64_t> bench_applied{0};
+void bench_count_sink(int) {
+  bench_applied.fetch_add(1, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 PX_REGISTER_ACTION(bench_coalesce_sink)
+PX_REGISTER_ACTION(bench_tiny_action)
+PX_REGISTER_ACTION(bench_sum_payload)
+PX_REGISTER_ACTION(bench_count_sink)
 
 namespace {
 
@@ -918,6 +938,495 @@ void serve_latency_cases(runner& r, suite_cli const& cli) {
   }
 }
 
+// --- layer micro cases ----------------------------------------------------
+//
+// The per-layer costs below the scheduler hot paths above: fiber
+// substrate, LCOs, parallel algorithms, parcels and the SIMD row layer.
+// One op is one iteration of the measured operation; every body checks a
+// sum or count of what it did, so the compiler cannot delete the work.
+
+// --- micro_fiber ----------------------------------------------------------
+
+constexpr std::size_t fiber_stack_bytes = 128 * 1024;
+
+void fiber_cases(runner& r, suite_cli const& cli) {
+  {
+    px::fibers::stack_pool pool(fiber_stack_bytes);
+    r.run("micro_fiber.stack_pool_acquire_recycle", {},
+          cli.scaled(1 << 20), [&](std::uint64_t n) {
+            std::uint64_t got = 0;
+            for (std::uint64_t i = 0; i < n; ++i) {
+              auto const s = pool.acquire();
+              got += s.limit != nullptr;
+              pool.recycle(s);
+            }
+            if (got != n) std::abort();
+          });
+  }
+  // The unpooled cost the pool avoids.
+  r.run("micro_fiber.stack_mmap_roundtrip", {}, cli.scaled(1 << 12),
+        [](std::uint64_t n) {
+          std::uint64_t got = 0;
+          for (std::uint64_t i = 0; i < n; ++i) {
+            auto const s = px::fibers::allocate_stack(fiber_stack_bytes);
+            got += s.limit != nullptr;
+            px::fibers::release_stack(s);
+          }
+          if (got != n) std::abort();
+        });
+  {
+    px::fibers::stack_pool pool(fiber_stack_bytes);
+    r.run("micro_fiber.create_run_recycle", {}, cli.scaled(1 << 17),
+          [&](std::uint64_t n) {
+            std::uint64_t ran = 0;
+            for (std::uint64_t i = 0; i < n; ++i) {
+              auto const s = pool.acquire();
+              px::fibers::fiber f(s, [&ran] { ++ran; });
+              f.resume();
+              pool.recycle(s);
+            }
+            if (ran != n) std::abort();
+          });
+  }
+  // One op = one resume + one suspend (two context switches).
+  r.run("micro_fiber.context_switch", {}, cli.scaled(1 << 20),
+        [](std::uint64_t n) {
+          auto const s = px::fibers::allocate_stack(fiber_stack_bytes);
+          {
+            std::uint64_t spins = 0;
+            bool stop = false;
+            px::fibers::fiber* self = nullptr;
+            px::fibers::fiber f(s, [&] {
+              while (!stop) {
+                ++spins;
+                self->suspend_to_owner();
+              }
+            });
+            self = &f;
+            for (std::uint64_t i = 0; i < n; ++i) f.resume();
+            stop = true;
+            f.resume();  // lets the entry return
+            if (!f.finished() || spins != n) std::abort();
+          }
+          px::fibers::release_stack(s);
+        });
+}
+
+// --- micro_runtime / micro_lco: suspension and LCO primitives -------------
+
+void lco_cases(runner& r, suite_cli const& cli) {
+  px::runtime rt(rt_cfg());
+
+  r.run("micro_runtime.ready_future_then", rt_params(), cli.scaled(1 << 16),
+        [&](std::uint64_t n) {
+          std::uint64_t const acc = px::sync_wait(rt, [n] {
+            std::uint64_t a = 0;
+            for (std::uint64_t i = 0; i < n; ++i)
+              a += static_cast<std::uint64_t>(
+                  px::make_ready_future(1)
+                      .then([](px::future<int> x) { return x.get() + 1; })
+                      .get());
+            return a;
+          });
+          if (acc != 2 * n) std::abort();
+        });
+
+  // One op = 16 posted count_downs and the wait that joins them.
+  constexpr std::ptrdiff_t latch_parties = 16;
+  r.run("micro_runtime.latch_countdown",
+        rt_params({{"parties", std::to_string(latch_parties)}}),
+        cli.scaled(1 << 12), [&](std::uint64_t n) {
+          px::sync_wait(rt, [n] {
+            for (std::uint64_t i = 0; i < n; ++i) {
+              px::latch l(latch_parties);
+              for (std::ptrdiff_t k = 0; k < latch_parties; ++k)
+                px::post([&l] { l.count_down(); });
+              l.wait();
+              if (!l.try_wait()) std::abort();
+            }
+            return 0;
+          });
+        });
+
+  r.run("micro_runtime.mutex_uncontended", rt_params(), cli.scaled(1 << 18),
+        [&](std::uint64_t n) {
+          px::sync_wait(rt, [n] {
+            px::mutex m;
+            for (std::uint64_t i = 0; i < n; ++i) {
+              m.lock();
+              m.unlock();
+            }
+            if (!m.try_lock()) std::abort();  // every unlock landed
+            m.unlock();
+            return 0;
+          });
+        });
+
+  // Every party arrives exactly n times, so phases pair by construction.
+  for (std::size_t const parties : {std::size_t{2}, std::size_t{4}}) {
+    r.run("micro_lco.barrier_cycle.p" + std::to_string(parties),
+          rt_params({{"parties", std::to_string(parties)}}),
+          cli.scaled(1 << 12), [&](std::uint64_t n) {
+            px::barrier bar(parties);
+            std::atomic<std::uint64_t> arrivals{0};
+            for (std::size_t p = 1; p < parties; ++p)
+              rt.post([&bar, &arrivals, n] {
+                for (std::uint64_t i = 0; i < n; ++i) bar.arrive_and_wait();
+                arrivals.fetch_add(n);
+              });
+            px::sync_wait(rt, [&bar, &arrivals, n] {
+              for (std::uint64_t i = 0; i < n; ++i) bar.arrive_and_wait();
+              arrivals.fetch_add(n);
+              return 0;
+            });
+            rt.wait_quiescent();
+            if (arrivals.load() != parties * n) std::abort();
+          });
+  }
+
+  r.run("micro_lco.semaphore_acquire_release", rt_params(),
+        cli.scaled(1 << 18), [&](std::uint64_t n) {
+          px::sync_wait(rt, [n] {
+            px::counting_semaphore sem(1);
+            for (std::uint64_t i = 0; i < n; ++i) {
+              sem.acquire();
+              sem.release();
+            }
+            // The count is back at exactly one.
+            if (!sem.try_acquire() || sem.try_acquire()) std::abort();
+            return 0;
+          });
+        });
+
+  r.run("micro_lco.event_set_wait_reset", rt_params(), cli.scaled(1 << 18),
+        [&](std::uint64_t n) {
+          px::sync_wait(rt, [n] {
+            px::event ev;
+            std::uint64_t seen = 0;
+            for (std::uint64_t i = 0; i < n; ++i) {
+              ev.set();
+              ev.wait();
+              seen += ev.is_set();
+              ev.reset();
+            }
+            if (seen != n || ev.is_set()) std::abort();
+            return 0;
+          });
+        });
+
+  r.run("micro_lco.sliding_semaphore_window", rt_params({{"window", "4"}}),
+        cli.scaled(1 << 18), [&](std::uint64_t n) {
+          px::sync_wait(rt, [n] {
+            px::sliding_semaphore sem(4, -1);
+            auto const steps = static_cast<std::int64_t>(n);
+            for (std::int64_t t = 0; t < steps; ++t) {
+              sem.wait(t);
+              sem.signal(t);
+            }
+            if (sem.signalled() != steps - 1) std::abort();
+            return 0;
+          });
+        });
+
+  // The raw suspension round trip: a task parks on an event, another sets
+  // it — two scheduler hops per op.
+  r.run("micro_lco.suspend_resume_roundtrip", rt_params(),
+        cli.scaled(1 << 13), [&](std::uint64_t n) {
+          px::sync_wait(rt, [n] {
+            std::uint64_t woken = 0;
+            for (std::uint64_t i = 0; i < n; ++i) {
+              px::event ev;
+              px::post([&ev, &woken] {
+                ++woken;
+                ev.set();
+              });
+              ev.wait();
+            }
+            if (woken != n) std::abort();
+            return 0;
+          });
+        });
+}
+
+// --- micro_parallel: grain size, reduction, executor placement -------------
+
+// One op = one x += 1 sweep over v; the closing sum proves every chunk of
+// every sweep ran.
+constexpr std::size_t sweep_elems = 1 << 16;
+
+template <typename Sweep>
+void counted_sweeps(std::vector<double>& v, std::uint64_t n, Sweep sweep) {
+  double const before = std::accumulate(v.begin(), v.end(), 0.0);
+  for (std::uint64_t i = 0; i < n; ++i) sweep();
+  double const after = std::accumulate(v.begin(), v.end(), 0.0);
+  if (after - before != static_cast<double>(n * v.size())) std::abort();
+}
+
+void parallel_cases(runner& r, suite_cli const& cli) {
+  px::runtime rt(rt_cfg());
+  std::vector<double> v(sweep_elems, 1.0);
+  auto bump = [](double& x) { x += 1.0; };
+  auto const elems = std::to_string(sweep_elems);
+
+  // Chunk sizes from pathological (tiny grain: contention-dominated, the
+  // A64FX concern of §VII-B) to coarse.
+  for (std::size_t const chunk : {256, 1024, 4096, 16384, 65536}) {
+    r.run("micro_parallel.for_each.chunk" + std::to_string(chunk),
+          rt_params({{"n", elems}, {"chunk", std::to_string(chunk)}}),
+          cli.scaled(1 << 9), [&](std::uint64_t n) {
+            px::sync_wait(rt, [&] {
+              counted_sweeps(v, n, [&] {
+                px::parallel::for_each(px::execution::par.with(chunk),
+                                       v.begin(), v.end(), bump);
+              });
+              return 0;
+            });
+          });
+  }
+
+  r.run("micro_parallel.for_each_seq", {{"n", elems}}, cli.scaled(1 << 11),
+        [&](std::uint64_t n) {
+          counted_sweeps(v, n, [&] {
+            px::parallel::for_each(px::execution::seq, v.begin(), v.end(),
+                                   bump);
+          });
+        });
+
+  {
+    px::block_executor ex(rt);
+    auto const policy = px::execution::par.on(ex);
+    r.run("micro_parallel.block_executor_for_loop", rt_params({{"n", elems}}),
+          cli.scaled(1 << 9), [&](std::uint64_t n) {
+            px::sync_wait(rt, [&] {
+              counted_sweeps(v, n, [&] {
+                px::parallel::for_loop(policy, std::size_t{0}, v.size(),
+                                       [&](std::size_t i) { v[i] += 1.0; });
+              });
+              return 0;
+            });
+          });
+  }
+
+  for (std::size_t const len : {std::size_t{1} << 14, std::size_t{1} << 18}) {
+    std::vector<double> const halves(len, 0.5);
+    r.run("micro_parallel.reduce.n" + std::to_string(len >> 10) + "k",
+          rt_params({{"n", std::to_string(len)}}),
+          cli.scaled((std::uint64_t{1} << 25) / len), [&](std::uint64_t n) {
+            double const acc = px::sync_wait(rt, [&] {
+              double a = 0.0;
+              for (std::uint64_t i = 0; i < n; ++i)
+                a += px::parallel::reduce(px::execution::par, halves.begin(),
+                                          halves.end(), 0.0, std::plus<>{});
+              return a;
+            });
+            if (acc != 0.5 * static_cast<double>(len * n)) std::abort();
+          });
+  }
+}
+
+// --- micro_parcel: action round trips, serialization, fire-and-forget -----
+
+void parcel_cases(runner& r, suite_cli const& cli) {
+  px::dist::domain_config cfg;
+  cfg.num_localities = 2;
+  cfg.locality_cfg.num_workers = 1;
+  cfg.injection_scale = 0.0;  // software cost, not the modeled wire
+  px::dist::distributed_domain dom(cfg);
+  auto params = [](std::initializer_list<
+                    std::pair<std::string, std::string>> extra = {}) {
+    std::vector<std::pair<std::string, std::string>> p{{"localities", "2"},
+                                                       {"workers", "1"}};
+    p.insert(p.end(), extra.begin(), extra.end());
+    return p;
+  };
+
+  r.run("micro_parcel.action_roundtrip.tiny", params({{"payload", "4"}}),
+        cli.scaled(1 << 12), [&](std::uint64_t n) {
+          std::uint64_t const acc = dom.run([n](px::dist::locality& loc0) {
+            std::uint64_t a = 0;
+            for (std::uint64_t i = 0; i < n; ++i)
+              a += static_cast<std::uint64_t>(
+                  loc0.call<&bench_tiny_action>(1, 7).get());
+            return a;
+          });
+          if (acc != 8 * n) std::abort();
+        });
+
+  // payload = bytes of the std::vector<double> argument.
+  struct payload_point {
+    char const* name;
+    std::size_t elems;
+    std::uint64_t iters;
+  };
+  for (auto const& p : {payload_point{"64B", 8, 1 << 12},
+                        payload_point{"8KiB", 1 << 10, 1 << 11},
+                        payload_point{"512KiB", 1 << 16, 1 << 7}}) {
+    std::vector<double> const payload(p.elems, 1.0);
+    r.run(std::string("micro_parcel.action_roundtrip.") + p.name,
+          params({{"payload", std::to_string(p.elems * sizeof(double))}}),
+          cli.scaled(p.iters), [&](std::uint64_t n) {
+            double const acc = dom.run([&](px::dist::locality& loc0) {
+              double a = 0.0;
+              for (std::uint64_t i = 0; i < n; ++i)
+                a += loc0.call<&bench_sum_payload>(1, payload).get();
+              return a;
+            });
+            if (acc != static_cast<double>(p.elems * n)) std::abort();
+          });
+  }
+
+  for (std::size_t const elems : {std::size_t{1} << 10, std::size_t{1} << 16}) {
+    std::vector<double> const v(elems, 1.5);
+    std::size_t const bytes = px::serial::to_bytes(v).size();
+    if (bytes < elems * sizeof(double)) std::abort();
+    r.run("micro_parcel.serialize_vector." +
+              std::to_string(elems * sizeof(double) >> 10) + "KiB",
+          {{"payload", std::to_string(elems * sizeof(double))}},
+          cli.scaled((std::uint64_t{1} << 24) / elems), [&](std::uint64_t n) {
+            std::uint64_t total = 0;
+            for (std::uint64_t i = 0; i < n; ++i)
+              total += px::serial::to_bytes(v).size();
+            if (total != bytes * n) std::abort();
+          });
+  }
+
+  r.run("micro_parcel.apply_fire_and_forget", params(), cli.scaled(1 << 13),
+        [&](std::uint64_t n) {
+          std::uint64_t const before = bench_applied.load();
+          dom.run([n](px::dist::locality& loc0) {
+            for (std::uint64_t i = 0; i < n; ++i)
+              loc0.apply<&bench_count_sink>(1, 1);
+            return 0;
+          });
+          dom.wait_all_quiescent();
+          if (bench_applied.load() - before != n) std::abort();
+        });
+  dom.wait_all_quiescent();
+}
+
+// --- micro_simd: the library's row kernel, seams and row layout -----------
+
+constexpr std::size_t simd_row_scalars = 8192;
+
+// px::stencil::jacobi2d_row_kernel on one row of simd_row_scalars. Inputs
+// up = 1, mid = 2, down = 3 make 2 a fixed point, so mid and out swap
+// every op (each op reads the last op's output) and the closing sum is
+// exact.
+template <typename Cell>
+void row_kernel_case(runner& r, suite_cli const& cli, std::string const& name,
+                     char const* cell) {
+  using T = px::simd::get_type_t<Cell>;
+  constexpr std::size_t lanes = px::simd::lane_count_v<Cell>;
+  std::size_t const cells = simd_row_scalars / lanes;
+  using row = std::vector<Cell, px::aligned_allocator<Cell, 64>>;
+  row const up(cells + 2, Cell(T(1))), down(cells + 2, Cell(T(3)));
+  row a(cells + 2, Cell(T(2))), b(cells + 2, Cell(T(2)));
+  r.run(name,
+        {{"cell", cell},
+         {"lanes", std::to_string(lanes)},
+         {"nx", std::to_string(simd_row_scalars)}},
+        cli.scaled(1 << 14), [&](std::uint64_t n) {
+          Cell* mid = a.data();
+          Cell* out = b.data();
+          for (std::uint64_t i = 0; i < n; ++i) {
+            px::stencil::jacobi2d_row_kernel<Cell>(up.data(), mid, down.data(),
+                                                   out, cells);
+            std::swap(mid, out);
+          }
+          T sum = T(0);
+          for (std::size_t s = 1; s <= cells; ++s) {
+            if constexpr (lanes == 1)
+              sum += mid[s];
+            else
+              sum += px::simd::reduce_add(mid[s]);
+          }
+          if (sum != T(2) * T(simd_row_scalars)) std::abort();
+        });
+}
+
+// One op = one left and one right VNS seam of an edge pack, with a ghost
+// that changes every op; each lane sums at most 14 per op, exact in float
+// at the case's op counts.
+template <typename P>
+void halo_shuffle_case(runner& r, suite_cli const& cli,
+                       std::string const& name) {
+  using T = typename P::value_type;
+  r.run(name, {{"lanes", std::to_string(P::width)}}, cli.scaled(1 << 18),
+        [&](std::uint64_t n) {
+          P const edge(T(7));
+          P acc(T(0));
+          std::uint64_t ghosts = 0;
+          for (std::uint64_t i = 0; i < n; ++i) {
+            T const ghost = T(i & 7);
+            ghosts += i & 7;
+            acc = acc + px::simd::vns::left_seam(edge, ghost) +
+                  px::simd::vns::right_seam(edge, ghost);
+          }
+          double got = 0.0;
+          for (std::size_t l = 0; l < P::width; ++l)
+            got += static_cast<double>(acc[l]);
+          double const want = 2.0 * static_cast<double>(ghosts) +
+                              14.0 * static_cast<double>(P::width - 1) *
+                                  static_cast<double>(n);
+          if (got != want) std::abort();
+        });
+}
+
+// field2d::assign_row + read_row on a pack field: one VNS encode and one
+// decode of a row of 1024 packs, the layout conversion of every
+// jacobi2d_vns solve.
+template <typename P>
+void vns_layout_case(runner& r, suite_cli const& cli, std::string const& name,
+                     char const* cell) {
+  using T = typename P::value_type;
+  constexpr std::size_t rows = 8;
+  constexpr std::size_t nx = P::width * 1024;
+  px::stencil::field2d<P> f(px::execution::seq, nx, rows);
+  // Values below 64 keep every partial sum exact in float.
+  std::vector<T> src(nx + 2);
+  for (std::size_t x = 0; x < src.size(); ++x) src[x] = T(x & 63);
+  std::vector<T> back(nx);
+  T const want = std::accumulate(src.begin() + 1, src.end() - 1, T(0));
+  r.run(name,
+        {{"cell", cell},
+         {"lanes", std::to_string(P::width)},
+         {"nx", std::to_string(nx)}},
+        cli.scaled(1 << 13), [&](std::uint64_t n) {
+          for (std::uint64_t i = 0; i < n; ++i) {
+            std::size_t const y = 1 + i % rows;
+            f.assign_row(y, src.data());
+            f.read_row(y, back.data());
+          }
+          if (std::accumulate(back.begin(), back.end(), T(0)) != want)
+            std::abort();
+        });
+}
+
+void simd_layer_cases(runner& r, suite_cli const& cli) {
+  using px::simd::pack;
+  row_kernel_case<float>(r, cli, "micro_simd.row_kernel.f32.scalar", "float");
+  row_kernel_case<double>(r, cli, "micro_simd.row_kernel.f64.scalar",
+                          "double");
+  row_kernel_case<pack<float, 4>>(r, cli, "micro_simd.row_kernel.f32.pack4",
+                                  "float");
+  row_kernel_case<pack<float, 8>>(r, cli, "micro_simd.row_kernel.f32.pack8",
+                                  "float");
+  row_kernel_case<pack<float, 16>>(r, cli, "micro_simd.row_kernel.f32.pack16",
+                                   "float");
+  row_kernel_case<pack<double, 2>>(r, cli, "micro_simd.row_kernel.f64.pack2",
+                                   "double");
+  row_kernel_case<pack<double, 4>>(r, cli, "micro_simd.row_kernel.f64.pack4",
+                                   "double");
+  row_kernel_case<pack<double, 8>>(r, cli, "micro_simd.row_kernel.f64.pack8",
+                                   "double");
+  halo_shuffle_case<pack<float, 8>>(r, cli, "micro_simd.halo_shuffle.f32x8");
+  halo_shuffle_case<pack<double, 8>>(r, cli, "micro_simd.halo_shuffle.f64x8");
+  vns_layout_case<pack<float, 8>>(r, cli, "micro_simd.vns_layout.f32x8",
+                                  "float");
+  vns_layout_case<pack<double, 4>>(r, cli, "micro_simd.vns_layout.f64x4",
+                                   "double");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -997,6 +1506,12 @@ int main(int argc, char** argv) {
   bool const agas_gate_ok = agas_skewed_heat_cases(r, *cli);
 
   serve_latency_cases(r, *cli);
+
+  fiber_cases(r, *cli);
+  lco_cases(r, *cli);
+  parallel_cases(r, *cli);
+  parcel_cases(r, *cli);
+  simd_layer_cases(r, *cli);
 
   int const rc = px::bench::finalize_suite(r, *cli);
   // The in-binary gates (explicit-pack beats auto-vectorized fig4,

@@ -54,6 +54,8 @@
 # tree), then configure and build the benchmark's C++ workload program
 # into build/pxbench without running it, so a library header change that
 # breaks pxbench/workloads.cpp fails here rather than in the benchmark.
+# The configure disables find_package for GTest and Google Benchmark, so
+# the lane also proves the benchmark build needs neither.
 #
 # --bench: smoke-run the px::bench regression suite (scripts/bench.sh
 # --smoke) against the committed baseline BENCH_seed.json when present.
@@ -139,7 +141,9 @@ fi
 if [ "${1:-}" = "--pxbench" ]; then
   (cd "$repo" && PYTHONDONTWRITEBYTECODE=1 \
    python3 -m unittest discover -s pxbench -p 'test_*.py')
-  cmake -B "$repo/build/pxbench" -S "$repo/pxbench"
+  cmake -B "$repo/build/pxbench" -S "$repo/pxbench" \
+    -DCMAKE_DISABLE_FIND_PACKAGE_GTest=ON \
+    -DCMAKE_DISABLE_FIND_PACKAGE_benchmark=ON
   cmake --build "$repo/build/pxbench" -j --target pxbench_workloads
   exit 0
 fi

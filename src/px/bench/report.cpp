@@ -175,6 +175,9 @@ class json_cursor {
     char* end = nullptr;
     double const v = std::strtod(begin, &end);
     if (end == begin) fail("expected a number");
+    // strtod also takes nan/inf, which are not JSON numbers (and a nan
+    // median compares as +0.0%, passing any gate).
+    if (!std::isfinite(v)) fail("expected a finite number");
     pos_ += static_cast<std::size_t>(end - begin);
     return v;
   }

@@ -44,6 +44,10 @@ TEST(BenchCli, DefaultsAndMalformedArguments) {
 
   EXPECT_FALSE(parse({"--out"}).has_value());        // missing operand
   EXPECT_FALSE(parse({"--threshold", "abc"}).has_value());
+  // Non-finite thresholds would switch the regression gate off.
+  EXPECT_FALSE(parse({"--threshold", "nan"}).has_value());
+  EXPECT_FALSE(parse({"--threshold", "inf"}).has_value());
+  EXPECT_FALSE(parse({"--threshold", "-inf"}).has_value());
   EXPECT_FALSE(parse({"--no-such-flag"}).has_value());
 }
 

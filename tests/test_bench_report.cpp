@@ -87,6 +87,12 @@ TEST(BenchReport, ParseRejectsMalformedDocuments) {
   std::string const good = make_report().to_json();
   EXPECT_THROW(parse_report_json(good.substr(0, good.size() / 2)),
                std::runtime_error);
+  // nan is not a JSON number; a nan baseline median would pass any gate.
+  std::string nan_median = good;
+  std::size_t const at = nan_median.find("1234.5");
+  ASSERT_NE(at, std::string::npos);
+  nan_median.replace(at, 6, "nan");
+  EXPECT_THROW(parse_report_json(nan_median), std::runtime_error);
 }
 
 TEST(BenchReport, FileRoundTripAndMissingFile) {
